@@ -1,25 +1,17 @@
-// Parallel branch-and-bound bench: the rounds-mode determinism contract and
-// the free-run speedup, on the bench_ucp_solver corpus (same generator and
-// seeds as tests/test_parallel_bnb.cpp and Exact.SeedCorpusNodeCounts).
+// Parallel branch-and-bound bench: the parallel_bnb backend's determinism
+// contract on the bench_ucp_solver corpus (same generator and seeds as
+// tests/test_parallel_bnb.cpp and Exact.SeedCorpusNodeCounts).
 //
-//   bench_parallel_bnb [--deterministic]
+//   bench_parallel_bnb
 //
-// For every corpus instance this binary ASSERTS (non-zero exit on failure):
-//   * rounds mode at 1, 2, and 8 threads returns bit-identical cost, cover,
-//     node count, and explored-set fingerprint, all matching the serial
-//     best-first cost;
-//   * free-run mode at 1 and 4 threads proves the same optimal cost.
-// The wall-clock table is informational -- speedups depend on the machine
-// (CI runs on a 1-core container; see docs/performance.md section 8) and
-// are gated in bench_perf_summary, not here.
-//
-// --deterministic skips the free-run wall measurements (keeps only one
-// free-run correctness solve per instance) so the CI bench-smoke job gets a
-// fast, timing-independent pass/fail signal.
+// For every corpus instance this binary ASSERTS (non-zero exit on failure)
+// that the rounds engine at 1, 2, and 8 threads returns bit-identical cost,
+// cover, node count, and explored-set fingerprint, all matching the serial
+// best-first (bnb_v2) cost. The wall-clock columns are informational and
+// machine-dependent (docs/performance.md section 8).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <thread>
 #include <tuple>
@@ -57,30 +49,17 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace cdcs::ucp;
-  bool deterministic = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--deterministic") == 0) {
-      deterministic = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--deterministic]\n", argv[0]);
-      return 2;
-    }
-  }
-
   std::printf(
       "=== Parallel weighted-UCP branch-and-bound ===\n"
-      "hardware threads: %u%s\n\n"
-      "%5s %5s | %10s %9s | %9s %9s %16s | %9s %9s %8s\n",
-      std::thread::hardware_concurrency(),
-      deterministic ? "  (--deterministic: free-run timing skipped)" : "",
-      "rows", "cols", "cost", "t_serial", "t_rnds_1", "t_rnds_8",
-      "rounds_fp", "t_free_1", "t_free_4", "speedup");
+      "hardware threads: %u\n\n"
+      "%5s %5s | %10s %9s | %9s %9s %16s\n",
+      std::thread::hardware_concurrency(), "rows", "cols", "cost",
+      "t_serial", "t_rnds_1", "t_rnds_8", "rounds_fp");
 
   BnbOptions serial_opt;
-  serial_opt.dense_dp_max_rows = 0;  // force B&B even on <= 20 rows
-  serial_opt.search_order = SearchOrder::kBestFirst;
+  serial_opt.backend = "bnb_v2";
 
   int failures = 0;
   for (const auto& [rows, cols, density] :
@@ -94,10 +73,10 @@ int main(int argc, char** argv) {
     const CoverSolution serial = solve_exact(p, serial_opt);
     const double t_serial = ms_since(t0);
 
-    // Rounds mode: the explored tree must be a function of the instance
-    // alone -- identical at every thread count, cost matching serial.
-    BnbOptions rounds_opt = serial_opt;
-    rounds_opt.mode = BnbMode::kRounds;
+    // The explored tree must be a function of the instance alone --
+    // identical at every thread count, cost matching serial.
+    BnbOptions rounds_opt;
+    rounds_opt.backend = "parallel_bnb";
     CoverSolution rounds_base;
     double t_rounds_1 = 0.0, t_rounds_8 = 0.0;
     for (const int threads : {1, 2, 8}) {
@@ -135,44 +114,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Free-run mode: nondeterministic tree, but the returned cost must be
-    // the proven optimum every time.
-    BnbOptions free_opt = serial_opt;
-    free_opt.mode = BnbMode::kFreeRun;
-    double t_free_1 = 0.0, t_free_4 = 0.0;
-    const int reps = deterministic ? 1 : 3;
-    for (const int threads : deterministic ? std::vector<int>{4}
-                                           : std::vector<int>{1, 4}) {
-      free_opt.threads = threads;
-      double best = 1e100;
-      for (int rep = 0; rep < reps; ++rep) {
-        t0 = std::chrono::steady_clock::now();
-        const CoverSolution f = solve_exact(p, free_opt);
-        best = std::min(best, ms_since(t0));
-        if (!f.optimal || std::abs(f.cost - serial.cost) > 1e-9) {
-          std::fprintf(stderr,
-                       "FREE-RUN COST MISMATCH on %dx%d at %d threads: "
-                       "%.9f != serial %.9f (optimal=%d)\n",
-                       rows, cols, threads, f.cost, serial.cost,
-                       f.optimal ? 1 : 0);
-          ++failures;
-        }
-      }
-      (threads == 1 ? t_free_1 : t_free_4) = best;
-    }
-
-    std::printf(
-        "%5d %5d | %10.4f %8.2fms | %7.2fms %7.2fms %016llx | %7.2fms "
-        "%7.2fms %7.2fx\n",
-        rows, cols, serial.cost, t_serial, t_rounds_1, t_rounds_8,
-        static_cast<unsigned long long>(rounds_base.explored_fingerprint),
-        t_free_1, t_free_4, t_free_4 > 0.0 ? t_free_1 / t_free_4 : 0.0);
+    std::printf("%5d %5d | %10.4f %7.2fms | %7.2fms %7.2fms %016llx\n",
+                rows, cols, serial.cost, t_serial, t_rounds_1, t_rounds_8,
+                static_cast<unsigned long long>(
+                    rounds_base.explored_fingerprint));
   }
 
   if (failures != 0) {
     std::fprintf(stderr, "\n%d violation(s)\n", failures);
     return 1;
   }
-  std::puts("\nall determinism and optimality assertions held");
+  std::puts("\nall determinism assertions held");
   return 0;
 }

@@ -99,8 +99,8 @@ int main() {
   BnbOptions legacy = force_bnb;
   legacy.use_lagrangian_bound = false;
   legacy.use_reduced_cost_fixing = false;
-  BnbOptions best_first = force_bnb;
-  best_first.search_order = SearchOrder::kBestFirst;
+  BnbOptions best_first;
+  best_first.backend = "bnb_v2";
   for (const auto& [rows, cols, density] :
        {std::tuple{10, 30, 0.30}, std::tuple{12, 200, 0.25},
         std::tuple{15, 60, 0.25}, std::tuple{15, 1000, 0.20},

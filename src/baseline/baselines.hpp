@@ -4,7 +4,7 @@
 //    graph of Def 2.6 -- every arc implemented independently, no sharing.
 //    This is the architecture the paper's algorithm must never lose to
 //    (Lemma 2.1 guarantees it exists whenever any solution does).
-//  * greedy_merge_baseline: an agglomerative heuristic in the style of
+//  * greedy_merge_baseline: an agglomerative method in the style of
 //    classic network-design local search: start from singleton groups,
 //    repeatedly apply the pairwise group merge with the largest cost saving
 //    until no merge saves. Polynomial, but can miss optima that require

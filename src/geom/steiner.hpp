@@ -13,7 +13,7 @@
 //    (all intersections of their x- and y-coordinates; by Hanan's theorem
 //    it contains a rectilinear Steiner minimal tree) with edges weighted
 //    under a caller-chosen norm, then runs Dreyfus-Wagner. Exact RSMT for
-//    the Manhattan norm; a high-quality topology heuristic for other norms
+//    the Manhattan norm; a high-quality topology for other norms
 //    (junction positions can be refined downstream).
 #pragma once
 

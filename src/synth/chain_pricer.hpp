@@ -54,8 +54,8 @@ struct ChainPlan {
 };
 
 struct ChainPricerOptions {
-  /// Try all permutations up to this k (k-1 drops); beyond it, two
-  /// heuristic orders are used.
+  /// Try all permutations up to this k (k-1 drops); beyond it, two fixed
+  /// orders (by distance, by projection) are used.
   int exhaustive_order_max_k = 5;
   /// Fermat-Weber re-centering passes per order.
   int refine_rounds = 3;

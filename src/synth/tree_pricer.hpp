@@ -10,7 +10,7 @@
 //
 // Topology: the exact Dreyfus-Wagner optimum on the terminals' Hanan grid
 // (geom/steiner.hpp) -- the true rectilinear Steiner minimal tree under the
-// Manhattan norm, a strong topology heuristic under other norms. Degree-2
+// Manhattan norm, a strong topology choice under other norms. Degree-2
 // pass-through junctions are contracted away (a bend in a route is free;
 // segmentation inside an edge is the point-to-point optimizer's job), so
 // every surviving junction is a genuine branch or drop point that pays for

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -28,7 +29,7 @@ using detail::frontier_after;
 
 // The search itself is the classic include/exclude branch-and-bound; the
 // reductions, bounds, and branching rules live in ucp/bnb_core.hpp
-// (NodeEvaluator), shared verbatim with the parallel engines
+// (NodeEvaluator), shared verbatim with the parallel rounds engine
 // (ucp/parallel_bnb.cpp) and running word-parallel over the
 // CoverProblem::row_cover transpose bitsets:
 //   * essential columns: popcount(row_cover(r) & available) with an early
@@ -41,11 +42,11 @@ using detail::frontier_after;
 //     the evaluator), instead of rescanning the row's full column set.
 // On top of the v1 machinery, v2 adds per-node subgradient Lagrangian bounds
 // (warm-started from the parent's multipliers), reduced-cost column fixing
-// against the incumbent, warm-start incumbent seeding, and an optional
-// best-first frontier. With those features disabled the predicates, their
-// visit order, and all tie-breaks are EXACTLY the v1 solver's, so
-// nodes_explored is identical to the legacy implementation (pinned by
-// Exact.SeedCorpusNodeCounts in tests/test_ucp.cpp).
+// against the incumbent, warm-start incumbent seeding, and a best-first
+// frontier (the bnb_v2 backend). With those features disabled the
+// predicates, their visit order, and all tie-breaks are EXACTLY the v1
+// solver's, so nodes_explored is identical to the legacy implementation
+// (pinned by Exact.SeedCorpusNodeCounts in tests/test_ucp.cpp).
 // Search telemetry (all of it write-only: nothing below feeds back into the
 // branching decisions, so traced and untraced runs explore the same tree):
 //   * every kProgressPeriod nodes, counter events ucp.nodes / ucp.incumbent /
@@ -60,9 +61,10 @@ class Solver {
  public:
   static constexpr std::size_t kProgressPeriod = 1024;
 
-  Solver(const CoverProblem& problem, const BnbOptions& options)
-      : p_(problem), opt_(options), eval_(problem, options),
-        sink_(support::trace_sink()) {}
+  Solver(const CoverProblem& problem, const BnbOptions& options,
+         bool best_first)
+      : p_(problem), opt_(options), best_first_(best_first),
+        eval_(problem, options), sink_(support::trace_sink()) {}
 
   CoverSolution run() {
     best_cost_ = detail::seed_incumbent(p_, opt_, best_);
@@ -81,7 +83,7 @@ class Solver {
     }
 
     complete_ = true;
-    if (opt_.search_order == SearchOrder::kBestFirst) {
+    if (best_first_) {
       run_best_first(std::move(root), std::move(root_lambda));
     } else {
       branch(std::move(root), 0.0, {}, 0, std::move(root_lambda));
@@ -170,7 +172,7 @@ class Solver {
       if (stop_ == CoverStop::kCompleted) stop_ = CoverStop::kDeadline;
       return;
     }
-    // Same all-or-nothing kill site the parallel engines poll: a firing
+    // Same all-or-nothing kill site the parallel engine polls: a firing
     // abandons the search with the incumbent intact, never a torn cover.
     // Unarmed runs skip the consult entirely, so the pinned trees are
     // byte-identical with or without this check.
@@ -320,6 +322,7 @@ class Solver {
 
   const CoverProblem& p_;
   const BnbOptions& opt_;
+  const bool best_first_;  ///< frontier search instead of the reference DFS
   NodeEvaluator eval_;
   support::TraceSink* sink_;  ///< captured once; null = telemetry inert
   double best_cost_{kInf};
@@ -350,12 +353,13 @@ CoverSolution seeded_fallback(const CoverProblem& problem,
 
 namespace detail {
 
-CoverSolution solve_exact_auto(const CoverProblem& problem,
-                               const BnbOptions& options) {
+CoverSolution solve_with(const CoverProblem& problem,
+                         const BnbOptions& options, SearchEngine engine) {
   CoverSolution sol;
   double bnb_root_bound = 0.0;
-  if (problem.num_rows() <=
-      std::min(options.dense_dp_max_rows, kDenseDpMaxRows)) {
+  // Every engine answers a row-less instance (the empty cover) through the
+  // DP's trivial case, so its solution does not depend on the backend.
+  if (engine == SearchEngine::kDenseDp || problem.num_rows() == 0) {
     support::Span dp_span("ucp.dense_dp", "ucp");
     support::MetricsRegistry::global().counter("ucp.dp_solves").add(1);
     if (!options.deadline.expired()) {
@@ -378,21 +382,12 @@ CoverSolution solve_exact_auto(const CoverProblem& problem,
       sol.stop = stop;
       sol.nodes_explored = dp_states;
     }
-    sol.backend = "dense_dp";
-  } else if (options.mode != BnbMode::kSerial) {
+  } else if (engine == SearchEngine::kRounds) {
     sol = solve_parallel_bnb(problem, options, &bnb_root_bound);
-    sol.backend = "parallel_bnb";
   } else {
-    Solver solver(problem, options);
+    Solver solver(problem, options, engine == SearchEngine::kBestFirst);
     sol = solver.run();
     bnb_root_bound = solver.root_bound();
-    // The v1 reference configuration (DFS, Lagrangian machinery off) is the
-    // pinned legacy tree; anything else is the v2 solver.
-    sol.backend = (options.search_order == SearchOrder::kDepthFirst &&
-                   !options.use_lagrangian_bound &&
-                   !options.use_reduced_cost_fixing)
-                      ? "dfs_v1"
-                      : "bnb_v2";
   }
   if (sol.optimal) {
     sol.lower_bound = sol.cost;
@@ -423,30 +418,38 @@ CoverSolution solve_exact(const CoverProblem& problem,
                          "}");
   CoverSolution sol;
   if (options.backend.empty()) {
-    sol = detail::solve_exact_auto(problem, options);
-  } else if (options.backend == "portfolio") {
-    sol = solve_portfolio(problem, options);
+    // The automatic dispatch: the dense DP at or below the row cutoff,
+    // depth-first branch-and-bound above it, labelled by its bounds -- the
+    // v1 reference configuration (Lagrangian machinery off) is the pinned
+    // legacy tree; anything else runs the v2 bounds.
+    if (problem.num_rows() <=
+        std::min(options.dense_dp_max_rows, kDenseDpMaxRows)) {
+      sol = detail::solve_with(problem, options,
+                               detail::SearchEngine::kDenseDp);
+      sol.backend = "dense_dp";
+    } else {
+      sol = detail::solve_with(problem, options,
+                               detail::SearchEngine::kDepthFirst);
+      sol.backend = !options.use_lagrangian_bound &&
+                            !options.use_reduced_cost_fixing
+                        ? "dfs_v1"
+                        : "bnb_v2";
+    }
   } else {
-    const std::string name =
-        options.backend == "heuristic"
-            ? std::string(select_cover_backend(problem.num_rows(),
-                                               problem.num_columns(),
-                                               cover_density(problem)))
-            : options.backend;
-    const CoverSolver* solver = find_cover_solver(name);
+    const CoverSolver* solver = find_cover_solver(options.backend);
     if (solver == nullptr) {
-      throw std::invalid_argument("unknown cover-solver backend '" + name +
-                                  "' (registered: " +
+      throw std::invalid_argument("unknown cover-solver backend '" +
+                                  options.backend + "' (registered: " +
                                   registered_cover_solver_list() + ")");
     }
     if (!solver->applicable(problem)) {
       throw std::invalid_argument(
-          "cover-solver backend '" + name + "' cannot handle a " +
+          "cover-solver backend '" + options.backend + "' cannot handle a " +
           std::to_string(problem.num_rows()) + "x" +
           std::to_string(problem.num_columns()) + " instance");
     }
     sol = solver->solve(problem, options);
-    sol.backend = name;
+    sol.backend = options.backend;
   }
   sol.rows = problem.num_rows();
   sol.cols = problem.num_columns();
@@ -455,13 +458,6 @@ CoverSolution solve_exact(const CoverProblem& problem,
   registry.counter("ucp.backend." + sol.backend + ".solves").add(1);
   registry.counter("ucp.backend." + sol.backend + ".nodes")
       .add(sol.nodes_explored);
-  for (const PortfolioMember& m : sol.portfolio) {
-    std::string key = "ucp.portfolio.";
-    key.append(to_string(m.outcome));
-    key += '.';
-    key += m.backend;
-    registry.counter(key).add(1);
-  }
   return sol;
 }
 

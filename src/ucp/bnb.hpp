@@ -26,7 +26,7 @@
 //   * branching on the hardest row (fewest available columns), trying its
 //     columns cheapest-first, with the standard inclusion/exclusion
 //     completeness argument -- explored depth-first (the reference tree) or
-//     best-first on the node lower bound behind `search_order`.
+//     best-first on the node lower bound, whichever the backend fixes.
 // Every configuration returns the same optimal cover cost; the legacy
 // configuration (Lagrangian + fixing off, DFS) reproduces the v1 search
 // tree node-for-node, which determinism tests pin. The solver is exact
@@ -49,25 +49,33 @@ namespace cdcs::ucp {
 /// independent-rows bound) in CoverSolution::lower_bound.
 ///
 /// Backend dispatch (ucp/cover_solver.hpp): with `options.backend` empty
-/// this is the legacy automatic dispatch every pinned node count was
-/// recorded against -- dense DP below the row cutoff, then BnbOptions::mode
-/// picks the engine -- with CoverSolution::backend labelled after the fact.
-/// A registered backend name forces that backend, "portfolio" races the
-/// racing backends and returns the fixed-priority winner, and "heuristic"
-/// picks a backend from the instance's rows x cols x density features.
-/// Throws std::invalid_argument for unknown names or a named backend that
-/// cannot handle the instance (e.g. dense_dp above kDenseDpMaxRows rows).
+/// this is the automatic dispatch every pinned node count was recorded
+/// against -- the dense DP at or below min(dense_dp_max_rows,
+/// kDenseDpMaxRows) rows, depth-first branch-and-bound above -- with
+/// CoverSolution::backend labelled after the fact. A registered backend
+/// name forces that backend. Throws std::invalid_argument for unknown
+/// names or a named backend that cannot handle the instance (e.g. dense_dp
+/// above kDenseDpMaxRows rows).
 CoverSolution solve_exact(const CoverProblem& problem,
                           const BnbOptions& options = {});
 
 namespace detail {
-/// The legacy automatic dispatch behind solve_exact, without the backend
-/// routing, tracing span, or per-backend metrics. Internal: the registered
-/// backends (ucp/cover_solver.cpp) and the hitting-set sub-solves
-/// (ucp/hitting_set.cpp) call it with forced options; everyone else goes
-/// through solve_exact. `options.backend` is ignored.
-CoverSolution solve_exact_auto(const CoverProblem& problem,
-                               const BnbOptions& options);
+/// The search engines behind solve_exact. Each registered backend runs a
+/// fixed one; the automatic dispatch picks kDenseDp or kDepthFirst.
+enum class SearchEngine {
+  kDenseDp,     ///< exact subset DP (ucp/dp.hpp)
+  kDepthFirst,  ///< serial include/exclude DFS -- the pinned reference tree
+  kBestFirst,   ///< serial best-first frontier on the node lower bound
+  kRounds,      ///< round-synchronous parallel best-first (parallel_bnb.hpp)
+};
+
+/// Runs one engine, without the backend routing, tracing span, or
+/// per-backend metrics of solve_exact, and fills the degraded-exit lower
+/// bound. Internal: the registered backends (ucp/cover_solver.cpp) call it;
+/// everyone else goes through solve_exact. `options.backend` and
+/// `options.dense_dp_max_rows` are ignored.
+CoverSolution solve_with(const CoverProblem& problem,
+                         const BnbOptions& options, SearchEngine engine);
 }  // namespace detail
 
 }  // namespace cdcs::ucp

@@ -1,6 +1,6 @@
 // Shared node-level machinery of the exact UCP branch-and-bound, split out
-// of ucp/bnb.cpp so the serial solver (bnb.cpp) and the parallel engines
-// (parallel_bnb.cpp) expand nodes through ONE implementation of the
+// of ucp/bnb.cpp so the serial solver (bnb.cpp) and the parallel rounds
+// engine (parallel_bnb.cpp) expand nodes through ONE implementation of the
 // reductions, bounds, and branching rules. Everything here is logic-identical
 // to the pre-split solver -- the pinned v1 node counts depend on it -- with
 // the sole mechanical change that the incumbent cost is an explicit
@@ -29,8 +29,8 @@ struct SearchState {
   Bitset available;  ///< columns still selectable
 };
 
-/// A frontier entry of the best-first search (serial kBestFirst and both
-/// parallel modes share the representation).
+/// A frontier entry of the best-first search (the serial best-first solver
+/// and the parallel rounds engine share the representation).
 struct FrontierNode {
   SearchState s;
   double cost;

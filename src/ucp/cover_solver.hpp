@@ -1,25 +1,20 @@
-// Pluggable cover-solver backends and the deterministic race portfolio.
+// Named cover-solver backends.
 //
-// The UCP layer grew four ways to solve one CoverProblem (dense subset DP,
-// v1 DFS, v2 best-first Lagrangian B&B, parallel rounds/free-run B&B), all
-// selected through ad-hoc BnbOptions flags. This header makes each of them
-// -- plus the implicit-hitting-set solver (ucp/hitting_set.hpp) -- a
-// first-class CoverSolver behind one string-keyed registry, so call sites
-// pick a backend by name (BnbOptions::backend), race the whole roster
-// ("portfolio"), or let per-instance features choose ("heuristic").
+// solve_exact (ucp/bnb.hpp) has one automatic dispatch -- the dense subset
+// DP at or below the row cutoff, depth-first branch-and-bound with the
+// configured bounds above it -- and four registered backends a caller can
+// force by name (BnbOptions::backend):
 //
-// Registry order IS portfolio priority order:
+//     dense_dp  bnb_v2  parallel_bnb  dfs_v1
 //
-//     dense_dp  bnb_v2  hitting_set  parallel_bnb  dfs_v1
+//   dense_dp      the exact 2^rows subset DP (ucp/dp.hpp); <= kDenseDpMaxRows
+//   bnb_v2        serial best-first branch-and-bound with the caller's bounds
+//   parallel_bnb  round-synchronous parallel best-first (ucp/parallel_bnb.hpp),
+//                 bit-identical at every thread count
+//   dfs_v1        depth-first with the v2 bounds off: the pinned v1 tree
 //
-// Portfolio determinism contract (docs/performance.md): the race returns
-// the solution of the LOWEST-PRIORITY-INDEX backend that proves optimality,
-// and a backend can only be cross-cancelled by a prover with a SMALLER
-// index. A backend is therefore never perturbed by anything that could
-// outrank it: whether backend i proves optimality -- and the exact bytes of
-// its solution -- is a pure function of (instance, options), independent of
-// thread count and wall-clock interleaving. Racing merely decides how soon
-// the losers stop burning cycles, never who wins or what is returned.
+// Each backend fixes its own engine and node order; the other BnbOptions
+// fields (budgets, bounds, warm starts, fault injector) apply as set.
 #pragma once
 
 #include <string>
@@ -37,22 +32,15 @@ class CoverSolver {
  public:
   virtual ~CoverSolver() = default;
 
-  /// Registry key ("dense_dp", "dfs_v1", "bnb_v2", "parallel_bnb",
-  /// "hitting_set").
+  /// Registry key ("dense_dp", "bnb_v2", "parallel_bnb", "dfs_v1").
   virtual std::string_view name() const = 0;
 
-  /// False when this backend structurally cannot solve the instance (e.g.
-  /// the dense DP above kDenseDpMaxRows rows). The portfolio skips
-  /// inapplicable members; explicit selection of one throws.
+  /// False when this backend structurally cannot solve the instance (the
+  /// dense DP above kDenseDpMaxRows rows); selecting it then throws.
   virtual bool applicable(const CoverProblem& problem) const {
     (void)problem;
     return true;
   }
-
-  /// Whether the portfolio races this backend. parallel_bnb opts out: it
-  /// wants the worker pool for itself, which would fight the race for the
-  /// same threads, and explores the identical tree as bnb_v2 anyway.
-  virtual bool races_in_portfolio() const { return true; }
 
   /// Solves the instance. `options.backend` is ignored (the caller already
   /// routed); every other BnbOptions field is honoured where it applies
@@ -64,16 +52,14 @@ class CoverSolver {
                               const BnbOptions& options) const = 0;
 };
 
-/// All registered backends, in fixed priority order (also the portfolio's
-/// race priority). The roster is compiled in; there is no dynamic
-/// registration, which keeps the order -- and with it every determinism
-/// pin -- a property of the binary, not of initialization races.
+/// All registered backends, in fixed order. The roster is compiled in;
+/// there is no dynamic registration.
 const std::vector<const CoverSolver*>& registered_cover_solvers();
 
 /// Registry lookup; null for unknown names.
 const CoverSolver* find_cover_solver(std::string_view name);
 
-/// Registered names in priority order, for CLI validation and --help.
+/// Registered names in registry order, for CLI validation and --help.
 std::vector<std::string> registered_cover_solver_names();
 
 /// "dense_dp, bnb_v2, ..." -- the names joined for diagnostics.
@@ -81,29 +67,5 @@ std::string registered_cover_solver_list();
 
 /// Matrix density: fraction of nonzero entries (0 for degenerate shapes).
 double cover_density(const CoverProblem& problem);
-
-/// Per-instance backend choice from the rows x cols x density features the
-/// bench harness records (BENCH_pr.json cover_solver_matrix): the dense DP
-/// whenever the row-subset table fits, the hitting-set solver for very wide
-/// sparse matrices where few rows bind, best-first B&B otherwise. Always
-/// returns an applicable registered backend.
-std::string_view select_cover_backend(std::size_t rows, std::size_t cols,
-                                      double density);
-
-/// Races every applicable racing backend on `options.pool` (sequentially
-/// on the caller's thread when no pool with >1 workers is mounted, or when
-/// a fault injector is armed -- racing members would otherwise consume the
-/// plan's deterministic hit schedule in pool-timing order). Cancellation is
-/// priority-filtered as documented above. The returned solution is the
-/// winner's, with `backend` = the winner's name and `portfolio` recording
-/// every member's outcome in priority order. With no prover, the cheapest
-/// incumbent wins (ties to the smaller index) and `lower_bound` is the max
-/// over the members' proven bounds.
-CoverSolution solve_portfolio(const CoverProblem& problem,
-                              const BnbOptions& options);
-
-/// Outcome labels for reports and metrics ("won", "lost", "cancelled",
-/// "degraded").
-std::string_view to_string(BackendOutcome outcome);
 
 }  // namespace cdcs::ucp

@@ -37,8 +37,8 @@ CoverSolution solve_dp(const CoverProblem& problem,
     return sol;
   }
 
-  // Column row-masks, deduplicated to the cheapest column per mask (an
-  // exact reduction: identical coverage at higher weight is never useful).
+  // Column row-masks, one per column (columns with equal masks are kept;
+  // the per-row lists below visit them cheapest-first).
   const std::size_t num_cols = problem.num_columns();
   std::vector<std::uint32_t> col_mask(num_cols, 0);
   for (std::size_t j = 0; j < num_cols; ++j) {

@@ -1,7 +1,7 @@
-// Greedy weighted set-cover heuristic: repeatedly picks the column with the
+// Greedy weighted set-cover approximation: repeatedly picks the column with the
 // best weight-per-newly-covered-row ratio. Classic ln(n)-approximation; used
 // as the initial upper bound for the exact branch-and-bound and as the
-// heuristic baseline in the UCP benchmark.
+// approximate baseline in the UCP benchmark.
 #pragma once
 
 #include "ucp/cover.hpp"

@@ -15,7 +15,7 @@
 // rc_j = w_j - sum lambda is negative), so evaluating L is one pass over the
 // available columns; maximizing over lambda is done by standard projected
 // subgradient ascent with the Held--Karp step rule, in the spirit of the
-// Caprara--Fischetti--Toth Lagrangian heuristic for set covering.
+// Caprara--Fischetti--Toth Lagrangian method for set covering.
 //
 // Two structural guarantees the branch-and-bound relies on:
 //   * Seeded from `mis_multipliers`, L(lambda_0) equals the greedy

@@ -34,8 +34,7 @@ struct Wan {
 };
 
 /// Arms `opts` with a parsed --fault-plan style spec (the scriptable way
-/// to reach each ladder rung; the legacy bools are pinned separately in
-/// LegacyBoolsStillDriveTheLadder).
+/// to reach each ladder rung).
 void arm(SynthesisOptions& opts, const std::string& spec) {
   opts.fault_injection.injector =
       std::make_shared<FaultInjector>(FaultPlan::parse(spec).value());
@@ -162,13 +161,14 @@ TEST(Degradation, FailedPricersLeaveOnlySingletons) {
   EXPECT_TRUE(result.validation.ok());
 }
 
-TEST(Degradation, LegacyBoolsStillDriveTheLadder) {
-  // The pre-FaultPlan switches are shims over the same sites (see
-  // synth/options.hpp) and must keep forcing their rungs.
+TEST(Degradation, EveryHitPlansDriveTheLadder) {
+  // Every-hit rules force their site on each consultation, pinning the
+  // incumbent rung (ucp.solve) and the point-to-point rung (ucp.incumbent
+  // plus ucp.greedy).
   Wan w;
   {
     SynthesisOptions opts;
-    opts.fault_injection.expire_solver_deadline = true;
+    arm(opts, "ucp.solve%1");
     const SynthesisResult result =
         synth::synthesize(w.cg, w.lib, opts).value();
     EXPECT_EQ(result.degradation.stage, SynthesisStage::kIncumbent);
@@ -176,8 +176,7 @@ TEST(Degradation, LegacyBoolsStillDriveTheLadder) {
   }
   {
     SynthesisOptions opts;
-    opts.fault_injection.drop_incumbent = true;
-    opts.fault_injection.fail_greedy_cover = true;
+    arm(opts, "ucp.incumbent%1;ucp.greedy%1");
     const SynthesisResult result =
         synth::synthesize(w.cg, w.lib, opts).value();
     EXPECT_EQ(result.degradation.stage, SynthesisStage::kPointToPoint);

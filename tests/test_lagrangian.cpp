@@ -202,8 +202,8 @@ TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
     const CoverProblem p = random_problem(14, 80, 0.25, seed);
     BnbOptions dfs;
     dfs.dense_dp_max_rows = 0;
-    BnbOptions bfs = dfs;
-    bfs.search_order = SearchOrder::kBestFirst;
+    BnbOptions bfs;
+    bfs.backend = "bnb_v2";
 
     const CoverSolution a = solve_exact(p, dfs);
     const CoverSolution b = solve_exact(p, bfs);
@@ -215,8 +215,7 @@ TEST(Lagrangian, BestFirstMatchesDfsAndCapsGracefully) {
   // A tiny frontier cap must still return a feasible cover, just unproven.
   const CoverProblem p = random_problem(22, 150, 0.2, 321);
   BnbOptions capped;
-  capped.dense_dp_max_rows = 0;
-  capped.search_order = SearchOrder::kBestFirst;
+  capped.backend = "bnb_v2";
   capped.best_first_max_frontier = 2;
   capped.use_lagrangian_bound = false;  // keep the root from proving optimality
   capped.use_reduced_cost_fixing = false;

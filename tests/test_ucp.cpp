@@ -372,7 +372,6 @@ BnbOptions legacy_options() {
   opt.dense_dp_max_rows = 0;  // force branch-and-bound
   opt.use_lagrangian_bound = false;
   opt.use_reduced_cost_fixing = false;
-  opt.search_order = SearchOrder::kDepthFirst;
   return opt;
 }
 
@@ -441,8 +440,8 @@ TEST(Exact, SolverV2CostEqualityAndNodeReduction) {
     v2.dense_dp_max_rows = 0;
     const CoverSolution dfs = solve_exact(p, v2);
 
-    BnbOptions best_first = v2;
-    best_first.search_order = SearchOrder::kBestFirst;
+    BnbOptions best_first;
+    best_first.backend = "bnb_v2";
     const CoverSolution bfs = solve_exact(p, best_first);
 
     ASSERT_TRUE(legacy.optimal);
