@@ -43,8 +43,9 @@
 //                            automatic dispatch (dense DP up to 20 rows,
 //                            depth-first B&B above; docs/performance.md)
 //   --ucp-threads N          worker threads for --cover-solver parallel_bnb
-//                            (default 0 = all hardware threads); shares
-//                            one pool with --threads
+//                            (default 0 = all hardware threads); runs on
+//                            the process pool of N workers, the one
+//                            --threads uses when the counts agree
 //   --no-lagrangian          disable the solver's Lagrangian node bounds
 //   --no-rc-fixing           disable reduced-cost column fixing
 //   --no-grid-prefilter      disable the geometric grid pre-filter

@@ -1,14 +1,12 @@
-// Wall-clock deadlines with cooperative cancellation for the synthesis
-// pipeline. A Deadline is threaded (by value, copies share the cancel
-// token) through candidate generation, the merging pricers, and the UCP
+// Wall-clock deadlines for the synthesis pipeline. A Deadline is threaded
+// by value through candidate generation, the merging pricers, and the UCP
 // branch-and-bound; each hot loop polls expired() and degrades gracefully
 // instead of running unbounded (docs/robustness.md describes the ladder).
 //
 // THREAD SAFETY: a single Deadline object may be polled concurrently from
 // many workers (the parallel pricing stage shares one by const reference).
 // The expiry latch and the fault-injection poll counter are atomics, so
-// concurrent polls never tear the count, and the optional expiry callback
-// fires exactly once across all copies and threads (docs/performance.md).
+// concurrent polls never tear the count (docs/performance.md).
 //
 // expired() latches: once a Deadline has reported expiry it keeps doing so,
 // so a caller observing "expired" mid-stage can rely on every later stage
@@ -21,25 +19,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
-#include <limits>
-#include <memory>
-#include <utility>
 
 namespace cdcs::support {
-
-/// Shared cancellation flag: copies observe (and trigger) the same cancel.
-/// Safe to cancel() from another thread while a solver polls expired().
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void cancel() const { flag_->store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
 
 class Deadline {
  public:
@@ -48,14 +29,10 @@ class Deadline {
   /// Default: never expires (and polls are two branch instructions).
   Deadline() = default;
 
-  /// Copies snapshot the latch and the remaining poll budget; the cancel
-  /// token and the expiry callback remain SHARED with the source.
+  /// Copies snapshot the latch and the remaining poll budget.
   Deadline(const Deadline& other)
       : at_(other.at_),
-        cancel_(other.cancel_),
-        on_expiry_(other.on_expiry_),
         has_deadline_(other.has_deadline_),
-        has_token_(other.has_token_),
         has_checks_(other.has_checks_),
         checks_left_(other.checks_left_.load(std::memory_order_relaxed)),
         expired_(other.expired_.load(std::memory_order_relaxed)) {}
@@ -63,10 +40,7 @@ class Deadline {
   Deadline& operator=(const Deadline& other) {
     if (this != &other) {
       at_ = other.at_;
-      cancel_ = other.cancel_;
-      on_expiry_ = other.on_expiry_;
       has_deadline_ = other.has_deadline_;
-      has_token_ = other.has_token_;
       has_checks_ = other.has_checks_;
       checks_left_.store(other.checks_left_.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
@@ -90,13 +64,6 @@ class Deadline {
         std::chrono::duration<double, std::milli>(ms < 0.0 ? 0.0 : ms)));
   }
 
-  static Deadline at(Clock::time_point when) {
-    Deadline d;
-    d.has_deadline_ = true;
-    d.at_ = when;
-    return d;
-  }
-
   /// Fault injection: expires on the (n+1)-th expired() call regardless of
   /// the clock. n = 0 expires on the first poll. Polls from any thread
   /// consume the shared budget of THIS object; copies snapshot what is left.
@@ -107,34 +74,8 @@ class Deadline {
     return d;
   }
 
-  /// Attaches a cooperative cancellation token; cancel() makes every copy
-  /// of this Deadline report expiry at its next poll.
-  Deadline& attach(CancelToken token) {
-    cancel_ = std::move(token);
-    has_token_ = true;
-    return *this;
-  }
-
-  /// Registers a callback invoked exactly once, by whichever poll (from
-  /// whichever thread or copy) first observes expiry. Copies made AFTER
-  /// registration share the once-only flag, so the callback cannot double-
-  /// fire across copies; re-registering installs a fresh callback with a
-  /// fresh flag. Registering on an already-expired deadline fires the
-  /// callback immediately (polls short-circuit on the latch and would
-  /// otherwise never reach it). The callback must be cheap and must not
-  /// poll the deadline itself.
-  Deadline& on_expiry(std::function<void()> callback) {
-    on_expiry_ = std::make_shared<ExpiryCallback>();
-    on_expiry_->fn = std::move(callback);
-    if (expired_.load(std::memory_order_relaxed) &&
-        !on_expiry_->fired.exchange(true)) {
-      on_expiry_->fn();
-    }
-    return *this;
-  }
-
   bool unlimited() const {
-    return !has_deadline_ && !has_token_ && !has_checks_ &&
+    return !has_deadline_ && !has_checks_ &&
            !expired_.load(std::memory_order_relaxed);
   }
 
@@ -154,45 +95,19 @@ class Deadline {
         return latch();
       }
     }
-    if (has_token_ && cancel_.cancelled()) return latch();
     if (has_deadline_ && Clock::now() >= at_) return latch();
     return false;
   }
 
-  /// Milliseconds left; +infinity when unlimited, 0 when expired. Does not
-  /// consume a fault-injection poll.
-  double remaining_ms() const {
-    if (expired_.load(std::memory_order_relaxed)) return 0.0;
-    if (!has_deadline_) {
-      return std::numeric_limits<double>::infinity();
-    }
-    const auto left = std::chrono::duration<double, std::milli>(
-        at_ - Clock::now());
-    return left.count() < 0.0 ? 0.0 : left.count();
-  }
-
  private:
-  /// Once-only callback state shared by all copies of a Deadline.
-  struct ExpiryCallback {
-    std::function<void()> fn;
-    std::atomic<bool> fired{false};
-  };
-
-  /// Sets the expiry latch and fires the shared callback exactly once
-  /// (first latch across all copies/threads wins). Always returns true.
+  /// Sets the expiry latch. Always returns true.
   bool latch() const {
     expired_.store(true, std::memory_order_relaxed);
-    if (on_expiry_ && !on_expiry_->fired.exchange(true)) {
-      on_expiry_->fn();
-    }
     return true;
   }
 
   Clock::time_point at_{};
-  CancelToken cancel_{};
-  std::shared_ptr<ExpiryCallback> on_expiry_{};
   bool has_deadline_{false};
-  bool has_token_{false};
   bool has_checks_{false};
   /// Fault-injection poll budget; only meaningful when has_checks_. Mutable
   /// so const hot-path polls can count; copies take a snapshot.

@@ -43,18 +43,7 @@ ObsContext::ObsContext(std::string label)
   t_current_scope = node_;
 }
 
-ObsContext::ObsContext(std::string label, CaptureMetricsBaselineTag)
-    : ObsContext(std::move(label)) {
-  baseline_ = std::make_unique<MetricsSnapshot>(
-      MetricsRegistry::global().snapshot());
-}
-
 ObsContext::~ObsContext() { t_current_scope = prev_; }
-
-MetricsSnapshot ObsContext::delta() const {
-  if (baseline_ == nullptr) return MetricsSnapshot{};
-  return MetricsRegistry::global().snapshot().delta_since(*baseline_);
-}
 
 ObsScopeGuard::ObsScopeGuard(ObsScopeHandle scope)
     : prev_(std::move(t_current_scope)) {

@@ -21,16 +21,13 @@
 //     produce identical solutions, node counts, and fingerprints.
 //
 // Per-scope metrics: the process-global MetricsRegistry is cumulative, so
-// per-scope views are DELTAS. Constructing an ObsContext with
-// kCaptureMetricsBaseline snapshots the registry; delta() returns what was
-// recorded while the scope was live (MetricsSnapshot::delta_since). The
-// default constructor skips the snapshot so hot paths can scope cheaply.
+// a per-scope view is a DELTA -- snapshot the registry on entry and take
+// MetricsSnapshot::delta_since on exit. Scopes themselves never snapshot,
+// so hot paths can scope cheaply.
 #pragma once
 
 #include <memory>
 #include <string>
-
-#include "support/metrics.hpp"
 
 namespace cdcs::support {
 
@@ -68,10 +65,6 @@ ObsScopeHandle current_obs_scope();
 /// reference is valid while the scope is (emit sites copy immediately).
 const std::string& current_obs_scope_path();
 
-/// Tag selecting the metrics-baseline-capturing ObsContext constructor.
-struct CaptureMetricsBaselineTag {};
-inline constexpr CaptureMetricsBaselineTag kCaptureMetricsBaseline{};
-
 /// RAII scope frame for the current thread. Construction pushes `label`
 /// onto the scope stack; destruction restores whatever was current before
 /// (frames may therefore interleave with other RAII state safely, but must
@@ -79,10 +72,6 @@ inline constexpr CaptureMetricsBaselineTag kCaptureMetricsBaseline{};
 class ObsContext {
  public:
   explicit ObsContext(std::string label);
-  /// Also snapshots MetricsRegistry::global() so delta() works. Costs a
-  /// full registry snapshot -- use on session/solve granularity, not in
-  /// inner loops.
-  ObsContext(std::string label, CaptureMetricsBaselineTag);
   ~ObsContext();
 
   ObsContext(const ObsContext&) = delete;
@@ -91,15 +80,9 @@ class ObsContext {
   /// Full path of this frame ("outer/inner").
   const std::string& path() const { return node_->path(); }
 
-  /// Metrics recorded (process-wide) since this frame was entered: the
-  /// per-scope delta view. Requires the kCaptureMetricsBaseline
-  /// constructor; returns an empty snapshot otherwise.
-  MetricsSnapshot delta() const;
-
  private:
   ObsScopeHandle node_;
   ObsScopeHandle prev_;
-  std::unique_ptr<MetricsSnapshot> baseline_;
 };
 
 /// Installs `scope` (possibly null) as the current thread's scope for its

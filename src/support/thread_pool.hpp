@@ -1,5 +1,6 @@
 // Fixed-size worker pool for the synthesis engine's embarrassingly parallel
-// stages (per-subset candidate pricing, bench sweeps).
+// stages (per-subset candidate pricing, partitioned cluster fan-out, the
+// parallel_bnb rounds), plus the process pools those stages share.
 //
 // Design constraints, in order:
 //   1. DETERMINISM. Parallel users of the pool must produce bit-identical
@@ -16,9 +17,17 @@
 //      carries are millisecond-scale placement solves, so queue overhead is
 //      noise.
 //
-// Observability (docs/observability.md): submit() samples the queue depth
-// into the thread_pool.queue_depth gauge, and each executed task gets a
-// "task" span plus a thread_pool.task.us latency histogram sample -- all
+// Lifetime. The library never constructs a pool per call: a stage that
+// fans out asks fan_out_pool() for the caller's mounted pool or else the
+// process pool of its width (ThreadPool::shared), which is created on first
+// use and never destroyed, like MetricsRegistry::global(). Pool tasks must
+// not fan out onto the pool they run on: a worker blocked on its own queue
+// can deadlock it, so the partitioned driver runs each cluster serially.
+//
+// Observability (docs/observability.md): the constructor counts into
+// thread_pool.created, submit() samples the queue depth into the
+// thread_pool.queue_depth gauge, and each executed task gets a "task" span
+// plus a thread_pool.task.us latency histogram sample -- the per-task ones
 // gated on tracing_enabled()/timing_enabled(), so an uninstrumented run
 // reads no clock and takes no extra locks.
 #pragma once
@@ -27,6 +36,8 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -50,6 +61,7 @@ class ThreadPool {
             MetricsRegistry::global().gauge("thread_pool.queue_depth")),
         task_us_(MetricsRegistry::global().histogram("thread_pool.task.us")) {
     if (workers == 0) workers = 1;
+    MetricsRegistry::global().counter("thread_pool.created").add(1);
     threads_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
       threads_.emplace_back([this] { worker_loop(); });
@@ -68,26 +80,48 @@ class ThreadPool {
     for (std::thread& t : threads_) t.join();
   }
 
+  /// The process pool of `workers` threads (0 counts as 1), created on
+  /// first use and never destroyed, so repeated runs pay no spawn or join.
+  /// Every call with the same width returns the same pool.
+  static ThreadPool& shared(std::size_t workers) {
+    struct Pools {
+      std::mutex mu;
+      std::map<std::size_t, std::unique_ptr<ThreadPool>> by_width;
+    };
+    static Pools* pools = new Pools();  // never dtor'd
+    if (workers == 0) workers = 1;
+    std::lock_guard<std::mutex> lock(pools->mu);
+    std::unique_ptr<ThreadPool>& pool = pools->by_width[workers];
+    if (pool == nullptr) pool = std::make_unique<ThreadPool>(workers);
+    return *pool;
+  }
+
   std::size_t size() const { return threads_.size(); }
 
   /// Enqueues a task; the future carries its result (or exception).
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
+    // The task's "task" span and the submitter's observability scope both
+    // close INSIDE the packaged task, i.e. before its future is ready: a
+    // caller returning from get() may tear its trace sink down at once, and
+    // finds the thread_pool.task.us sample already booked. The span opens
+    // before the scope is installed, so it stays unscoped; the scope keeps
+    // the task's own spans/counters attributed to the scope that fanned the
+    // work out. A null handle install/restore is two shared_ptr moves --
+    // scheduling and results are unchanged.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [f = std::forward<F>(f), scope = current_obs_scope(),
+         task_us = &task_us_]() mutable -> R {
+          ScopedTimer span("task", "thread_pool", task_us);
+          ObsScopeGuard scope_guard(std::move(scope));
+          return f();
+        });
     std::future<R> result = task->get_future();
     std::size_t depth;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // Carry the submitter's observability scope onto the worker so the
-      // task's spans/counters stay attributed to the scope that fanned the
-      // work out. A null handle install/restore is two shared_ptr moves --
-      // scheduling and results are unchanged.
-      queue_.emplace([task, scope = current_obs_scope()] {
-        ObsScopeGuard scope_guard(std::move(scope));
-        (*task)();
-      });
+      queue_.emplace([task] { (*task)(); });
       depth = queue_.size();
     }
     // High-water mark of pending (not yet dequeued) tasks. One relaxed
@@ -108,10 +142,7 @@ class ThreadPool {
         job = std::move(queue_.front());
         queue_.pop();
       }
-      {
-        ScopedTimer span("task", "thread_pool", &task_us_);
-        job();
-      }
+      job();
     }
   }
 
@@ -130,6 +161,15 @@ inline std::size_t resolve_thread_count(int n) {
   if (n > 0) return static_cast<std::size_t>(n);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+/// The pool a stage asked to run on `threads` workers fans out on: null
+/// (run inline) when that resolves to one worker, else the caller's
+/// `mounted` pool, else the process pool of that width.
+inline ThreadPool* fan_out_pool(int threads, ThreadPool* mounted) {
+  const std::size_t workers = resolve_thread_count(threads);
+  if (workers <= 1) return nullptr;
+  return mounted != nullptr ? mounted : &ThreadPool::shared(workers);
 }
 
 /// Deterministic ordered map: computes f(i) for i in [0, n) and returns the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "support/fault.hpp"
@@ -278,15 +277,8 @@ support::Expected<CandidateSet> generate_candidates(
 
   const std::size_t threads = support::resolve_thread_count(options.threads);
   stats.threads_used = threads;
-  // Prefer the caller's pool (run_pipeline mounts one shared with the
-  // parallel cover solver); self-create only when parallel pricing was
-  // requested with no pool to borrow.
-  std::unique_ptr<support::ThreadPool> owned_pool;
-  support::ThreadPool* pool = threads > 1 ? options.pool : nullptr;
-  if (threads > 1 && pool == nullptr) {
-    owned_pool = std::make_unique<support::ThreadPool>(threads);
-    pool = owned_pool.get();
-  }
+  support::ThreadPool* pool =
+      support::fan_out_pool(options.threads, options.pool);
   const PricerMetrics pricer_metrics = PricerMetrics::resolve();
 
   // Pricing-batch size: large enough to amortize fan-out overhead and keep

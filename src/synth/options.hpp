@@ -144,13 +144,14 @@ struct SynthesisOptions {
   /// Worker threads for subset pricing and partitioned cluster fan-out.
   /// 0 (default) means all hardware threads; N >= 1 is taken literally
   /// (1 = price on the caller's thread). N > 1 fans each k's surviving
-  /// subsets out to a fixed pool of N workers, merging results in
-  /// enumeration order so the candidate set is BIT-IDENTICAL to the serial
-  /// run for every N (docs/performance.md) -- which is why "all hardware
-  /// threads" is a safe default. Enumeration and pruning always stay
-  /// serial -- they are cheap and their order carries Theorem 3.1
-  /// semantics. Determinism tests pin explicit counts anyway so their
-  /// fingerprints never depend on the host.
+  /// subsets out to the process pool of N workers (ThreadPool::shared),
+  /// merging results in enumeration order so the candidate set is
+  /// BIT-IDENTICAL to the serial run for every N (docs/performance.md) --
+  /// which is why "all hardware threads" is a safe default. Partitioned
+  /// runs fan whole clusters out instead and solve each one serially.
+  /// Enumeration and pruning always stay serial -- they are cheap and their
+  /// order carries Theorem 3.1 semantics. Determinism tests pin explicit
+  /// counts anyway so their fingerprints never depend on the host.
   int threads = 0;
 
   /// Optional pricing memoization shared across synthesize() calls
@@ -158,12 +159,9 @@ struct SynthesisOptions {
   /// Thread-safe; hits skip the placement solves entirely.
   PricingCache* pricing_cache = nullptr;
 
-  /// Optional borrowed thread pool for subset pricing (not owned; must
-  /// outlive the run). Null with `threads` > 1 makes the generator create
-  /// its own. run_pipeline mounts ONE shared pool here and in
-  /// `solver.pool`, sized max(threads, solver.threads), so the `--threads`
-  /// pricing workers and the `--ucp-threads` B&B workers share it instead
-  /// of doubling up (docs/performance.md section 8).
+  /// Optional borrowed pool for pricing and cluster fan-out (not owned;
+  /// must outlive the run), used when `threads` resolves above 1. Null
+  /// means the process pool of that width (docs/performance.md section 2).
   support::ThreadPool* pool = nullptr;
 
   /// Deterministic failure forcing for tests; see FaultInjection.
@@ -173,9 +171,8 @@ struct SynthesisOptions {
   /// PartitioningOptions. Off by default.
   PartitioningOptions partitioning;
 
-  /// Cover-solver configuration (Lagrangian bounds, reduced-cost fixing,
-  /// search order, ...). The 3-argument synthesize() overload uses this;
-  /// the 4-argument overload overrides it explicitly. The synthesizer
+  /// Cover-solver configuration (backend, Lagrangian bounds, reduced-cost
+  /// fixing, ...) that synthesize() runs with. The synthesizer
   /// additionally seeds `solver.warm_start` with the point-to-point
   /// singleton cover when the caller left it empty.
   ucp::BnbOptions solver;

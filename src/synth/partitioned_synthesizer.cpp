@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -137,27 +136,14 @@ support::Expected<SynthesisResult> synthesize_partitioned(
           ",\"boundary_arcs\":" + std::to_string(part.boundary_arcs.size()) +
           "}");
 
-  // Parallelism budget: the outer pool fans whole clusters out, and any
-  // threads it cannot absorb (more hardware than clusters) are granted to
-  // the node level INSIDE each cluster solve -- pricing and, with the
-  // parallel_bnb backend, the B&B tree itself. On hosts where clusters >= threads the
-  // per-cluster budget is 1 and the computation (hence every pinned
-  // fingerprint) is exactly the old serial-inside-clusters one.
-  const std::size_t total_threads =
-      support::resolve_thread_count(options.threads);
-  const std::size_t workers = std::min(total_threads, part.clusters.size());
-  const int cluster_budget =
-      static_cast<int>(std::max<std::size_t>(1, total_threads / workers));
-
   // Per-cluster configuration: partitioning must not recurse, and any
   // caller-provided warm start targets the global instance, not a cluster.
-  // Cluster solves never borrow the outer pool (a pool task submitting to
-  // its own pool and blocking on the future could deadlock); with a budget
-  // above 1 they self-create.
+  // Clusters fan out across the pool; each cluster's pricing and B&B run
+  // with threads = 1 on the worker that picked it up, so no pool task ever
+  // fans out onto a pool.
   SynthesisOptions cluster_options = options;
   cluster_options.partitioning.enabled = false;
-  cluster_options.threads = cluster_budget;
-  cluster_options.pool = nullptr;
+  cluster_options.threads = 1;
   if (const int cap = options.partitioning.cluster_max_merge_k; cap > 0) {
     cluster_options.max_merge_k = options.max_merge_k > 0
                                       ? std::min(options.max_merge_k, cap)
@@ -170,15 +156,12 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   ucp::BnbOptions cluster_solver = solver_options;
   cluster_solver.warm_start.clear();
   cluster_solver.warm_multipliers.clear();
-  cluster_solver.threads = cluster_budget;
-  cluster_solver.pool = nullptr;
-
-  std::unique_ptr<support::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<support::ThreadPool>(workers);
+  cluster_solver.threads = 1;
 
   std::vector<support::Expected<ClusterOutcome>> outcomes =
       support::parallel_map_ordered(
-          pool.get(), part.clusters.size(),
+          support::fan_out_pool(options.threads, options.pool),
+          part.clusters.size(),
           [&](std::size_t i) -> support::Expected<ClusterOutcome> {
             const Cluster& cl = part.clusters[i];
             support::Span span(
@@ -212,7 +195,8 @@ support::Expected<SynthesisResult> synthesize_partitioned(
   SynthesisResult result;
   GenerationStats& stats = result.candidate_set.stats;
   stats.arc_eliminated_after_k.assign(cg.num_channels(), 0);
-  stats.threads_used = workers;
+  stats.threads_used = std::min(
+      support::resolve_thread_count(options.threads), part.clusters.size());
   SynthesisStage worst = SynthesisStage::kExact;
   double lower_bound_sum = 0.0;
   std::size_t base = 0;

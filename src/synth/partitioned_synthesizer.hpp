@@ -18,9 +18,10 @@
 //     Lemma 3.1-pruned, plus the capped boundary tail.
 //   * assembly and Def 2.4 validation run ONCE over the whole graph.
 //
-// Clusters fan out across a support::ThreadPool via parallel_map_ordered:
-// each cluster is priced serially (threads=1) and the stitch folds results
-// in cluster order, so the output is BIT-IDENTICAL for every thread count.
+// Clusters fan out across the process pool via parallel_map_ordered: each
+// cluster is priced and covered serially (threads=1) and the stitch folds
+// results in cluster order, so the output is BIT-IDENTICAL for every thread
+// count.
 // The stitched result reports stage kIncumbent (global optimality across
 // clusters is not proven even when every cluster solved exactly) with the
 // aggregate lower bound and gap in the degradation report.

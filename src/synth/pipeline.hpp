@@ -1,5 +1,5 @@
 // The staged synthesis pipeline (Fig. 2 + covering + materialization),
-// factored out of the one-shot synthesize() wrappers so the incremental
+// factored out of the one-shot synthesize() wrapper so the incremental
 // synth::Engine drives the SAME stages over its session state:
 //
 //   generate  -- candidate enumeration + pricing (candidate_generator.hpp;
@@ -29,7 +29,7 @@
 namespace cdcs::synth {
 
 /// Persistent cover-solver state a session threads through run_pipeline.
-/// The one-shot synthesize() wrappers pass nullptr (every stage runs cold).
+/// The one-shot synthesize() wrapper passes nullptr (every stage runs cold).
 struct SessionState {
   /// Signature of the last exactly-solved cover instance: the full UCP
   /// matrix plus every solver option that steers the search (see

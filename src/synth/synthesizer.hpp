@@ -23,7 +23,7 @@
 // gap) in SynthesisResult::degradation.
 //
 // The result types live in synth/result.hpp and the options in
-// synth/options.hpp; the staged pipeline these wrappers drive is
+// synth/options.hpp; the staged pipeline this wrapper drives is
 // synth/pipeline.hpp, and the incremental session entry point is
 // synth/engine.hpp. Including this header pulls neither the assembler nor
 // the cover solver.
@@ -45,20 +45,16 @@ namespace cdcs::synth {
 /// A deadline (SynthesisOptions::deadline) is NOT an error: the result
 /// degrades along the anytime ladder and `result.degradation` says how.
 ///
-/// The cover solver runs with `options.solver` (Lagrangian bounds,
-/// reduced-cost fixing, search order, ...); the 4-argument overload
-/// overrides that with an explicit BnbOptions. Either way the solver's
-/// incumbent is warm-started with the point-to-point singleton cover, so
-/// pruning starts from the anytime ladder's last-resort upper bound.
+/// The cover solver runs with `options.solver` (backend, Lagrangian
+/// bounds, reduced-cost fixing, ...), its incumbent warm-started with the
+/// point-to-point singleton cover, so pruning starts from the anytime
+/// ladder's last-resort upper bound.
 ///
-/// Both overloads are thin wrappers over a throwaway synth::Engine session
-/// (synth/engine.hpp); edit streams should hold a session open instead of
-/// calling these in a loop.
+/// A one-shot run of the staged pipeline the incremental synth::Engine
+/// drives (synth/engine.hpp); edit streams should hold a session open
+/// instead of calling this in a loop.
 support::Expected<SynthesisResult> synthesize(
     const model::ConstraintGraph& cg, const commlib::Library& library,
     const SynthesisOptions& options = {});
-support::Expected<SynthesisResult> synthesize(
-    const model::ConstraintGraph& cg, const commlib::Library& library,
-    const SynthesisOptions& options, const ucp::BnbOptions& solver_options);
 
 }  // namespace cdcs::synth

@@ -18,10 +18,9 @@ namespace cdcs::ucp {
 
 struct BnbOptions {
   std::size_t max_nodes = 10'000'000;
-  /// Wall-clock budget (plus cooperative cancellation); polled once per
-  /// branch node and periodically inside the dense DP. On expiry the best
-  /// incumbent so far is returned with `optimal = false` and
-  /// `deadline_expired = true`.
+  /// Wall-clock budget; polled once per branch node and periodically
+  /// inside the dense DP. On expiry the best incumbent so far is returned
+  /// with `optimal = false` and `deadline_expired = true`.
   support::Deadline deadline;
   bool use_row_dominance = true;
   bool use_column_dominance = true;
@@ -57,9 +56,8 @@ struct BnbOptions {
   /// invariance.
   int threads = 0;
   /// Optional borrowed pool for the parallel_bnb backend (not owned; must
-  /// outlive the solve). When null and `threads` resolves above 1 the
-  /// solver makes its own. run_pipeline mounts one shared pool here and in
-  /// SynthesisOptions::pool so `--threads` and `--ucp-threads` share it.
+  /// outlive the solve), used when `threads` resolves above 1. Null means
+  /// the process pool of that width (support::ThreadPool::shared).
   support::ThreadPool* pool = nullptr;
   /// Nodes drained from the frontier per round by parallel_bnb. Part of
   /// the deterministic contract: changing it changes the explored tree

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -157,13 +156,7 @@ CoverSolution run_rounds(const CoverProblem& p, const BnbOptions& opt,
   std::vector<std::size_t> best;
   double best_cost = detail::seed_incumbent(p, opt, best);
 
-  const std::size_t workers = support::resolve_thread_count(opt.threads);
-  std::unique_ptr<support::ThreadPool> owned;
-  support::ThreadPool* pool = opt.pool;
-  if (pool == nullptr && workers > 1) {
-    owned = std::make_unique<support::ThreadPool>(workers);
-    pool = owned.get();
-  }
+  support::ThreadPool* pool = support::fan_out_pool(opt.threads, opt.pool);
 
   std::vector<FrontierNode> heap;
   heap.push_back(make_root(p, opt));

@@ -16,7 +16,7 @@
 
 namespace cdcs::ucp {
 
-/// Runs the rounds engine on `options.pool` (or its own pool of
+/// Runs the rounds engine on `options.pool` (or the process pool of
 /// `options.threads` workers). Fills `*root_bound` (when non-null) with the
 /// lower bound established at the root node, for honest-gap reporting on
 /// degraded exits.

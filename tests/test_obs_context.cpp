@@ -159,21 +159,15 @@ TEST(ObsContext, PoolWorkersInheritSubmitterScope) {
 }
 
 TEST(ObsContext, PerScopeMetricsDelta) {
+  // The per-scope view is a registry delta taken around the scope.
   Counter& counter = MetricsRegistry::global().counter("obs.test.delta");
   counter.add(5);  // pre-scope noise the delta must exclude
-  ObsContext scope("delta-view", kCaptureMetricsBaseline);
+  const MetricsSnapshot baseline = MetricsRegistry::global().snapshot();
+  ObsContext scope("delta-view");
   counter.add(3);
-  const MetricsSnapshot delta = scope.delta();
+  const MetricsSnapshot delta =
+      MetricsRegistry::global().snapshot().delta_since(baseline);
   EXPECT_EQ(delta.counters.at("obs.test.delta"), 3u);
-}
-
-TEST(ObsContext, DefaultConstructorSkipsBaseline) {
-  MetricsRegistry::global().counter("obs.test.nodelta").add(2);
-  ObsContext scope("no-baseline");
-  MetricsRegistry::global().counter("obs.test.nodelta").add(2);
-  // No baseline captured: delta() degrades to an empty view, never a
-  // full-registry dump that would misattribute pre-scope counts.
-  EXPECT_TRUE(scope.delta().counters.empty());
 }
 
 // ---- Flight recorder -------------------------------------------------------
@@ -560,7 +554,7 @@ TEST(ObsDeterminism, ScopedRecordedRunsBitIdentical) {
     {
       ScopedTraceSession session;
       set_timing_enabled(true);
-      ObsContext run("session=determinism", kCaptureMetricsBaseline);
+      ObsContext run("session=determinism");
       ObsContext inner("solve=0");
       const auto scoped = synth::synthesize(cg, lib, options);
       set_timing_enabled(false);
@@ -598,14 +592,16 @@ TEST(ObsContextConcurrency, ScopeChurnAcrossPool) {
 
 TEST(ObsContextConcurrency, DeltaSinceUnderConcurrentScopeChurn) {
   Counter& counter = MetricsRegistry::global().counter("obs.churn.count");
-  ObsContext base("delta-churn", kCaptureMetricsBaseline);
+  const MetricsSnapshot baseline = MetricsRegistry::global().snapshot();
+  ObsContext base("delta-churn");
   {
     ThreadPool pool(8);
     std::vector<std::future<void>> reads;
     for (int r = 0; r < 8; ++r) {
-      reads.push_back(pool.submit([&base] {
+      reads.push_back(pool.submit([&baseline] {
         for (int k = 0; k < 50; ++k) {
-          (void)base.delta();  // snapshot+delta racing the writers below
+          // snapshot+delta racing the writers below
+          (void)MetricsRegistry::global().snapshot().delta_since(baseline);
         }
       }));
     }
@@ -616,7 +612,11 @@ TEST(ObsContextConcurrency, DeltaSinceUnderConcurrentScopeChurn) {
     });
     for (auto& f : reads) f.get();
   }
-  EXPECT_EQ(base.delta().counters.at("obs.churn.count"), 64u * 100u);
+  EXPECT_EQ(MetricsRegistry::global()
+                .snapshot()
+                .delta_since(baseline)
+                .counters.at("obs.churn.count"),
+            64u * 100u);
 }
 
 TEST(FlightRecorderConcurrency, ParallelRecordsKeepSeqOrdered) {

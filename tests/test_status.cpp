@@ -111,14 +111,12 @@ TEST(Deadline, NeverIsUnlimitedAndNeverExpires) {
   const Deadline d = Deadline::never();
   EXPECT_TRUE(d.unlimited());
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(d.expired());
-  EXPECT_EQ(d.remaining_ms(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Deadline, ZeroBudgetExpiresOnFirstPoll) {
   const Deadline d = Deadline::after_ms(0.0);
   EXPECT_FALSE(d.unlimited());
   EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.remaining_ms(), 0.0);
 }
 
 TEST(Deadline, ExpireAfterChecksCountsPollsDeterministically) {
@@ -134,19 +132,6 @@ TEST(Deadline, ExpiryLatches) {
   EXPECT_TRUE(d.expired());
   // Once expired, always expired -- later stages can trust earlier ones.
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.remaining_ms(), 0.0);
-}
-
-TEST(Deadline, CancelTokenIsSharedAcrossCopies) {
-  CancelToken token;
-  Deadline original;
-  original.attach(token);
-  const Deadline copy = original;
-  EXPECT_FALSE(original.unlimited());
-  EXPECT_FALSE(copy.expired());
-  token.cancel();
-  EXPECT_TRUE(copy.expired());
-  EXPECT_TRUE(original.expired());
 }
 
 }  // namespace

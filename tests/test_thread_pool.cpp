@@ -1,19 +1,25 @@
 // Worker-pool and concurrent-deadline regression tests. The pool's single
 // correctness obligation is ordered, exception-transparent fan-out (the
-// synthesis engine's determinism rests on it); the Deadline's is that many
-// threads may poll one object without tearing the fault-injection count or
-// double-firing the expiry callback.
+// synthesis engine's determinism rests on it); the process pools add that
+// a pool outliving every run leaves nothing of a task behind once its
+// result is back. The Deadline's obligation is that many threads may poll
+// one object without tearing the fault-injection count.
 #include <atomic>
-#include <chrono>
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "commlib/standard_libraries.hpp"
 #include "support/deadline.hpp"
+#include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
+#include "synth/synthesizer.hpp"
+#include "workloads/wan2002.hpp"
 
 namespace cdcs::support {
 namespace {
@@ -87,6 +93,84 @@ TEST(ThreadPool, ResolveThreadCount) {
   EXPECT_GE(resolve_thread_count(-5), 1u);
 }
 
+// --- The process pools ----------------------------------------------------
+
+std::uint64_t pools_created() {
+  return MetricsRegistry::global().counter("thread_pool.created").value();
+}
+
+TEST(ThreadPool, SharedIsOnePoolPerWidth) {
+  ThreadPool& three = ThreadPool::shared(3);
+  EXPECT_EQ(three.size(), 3u);
+  const std::uint64_t created = pools_created();
+  EXPECT_EQ(&ThreadPool::shared(3), &three);
+  EXPECT_EQ(fan_out_pool(3, nullptr), &three);
+  EXPECT_EQ(pools_created(), created);
+
+  ThreadPool mounted(2);
+  EXPECT_EQ(fan_out_pool(3, &mounted), &mounted);
+  EXPECT_EQ(fan_out_pool(1, &mounted), nullptr);  // one worker runs inline
+}
+
+TEST(ThreadPool, SingleThreadSynthesisCreatesNoPool) {
+  const model::ConstraintGraph cg = workloads::wan2002();
+  const commlib::Library lib = commlib::wan_library();
+  synth::SynthesisOptions serial;
+  serial.threads = 1;
+  serial.solver.threads = 1;
+  synth::SynthesisOptions rounds = serial;
+  rounds.solver.backend = "parallel_bnb";
+  synth::SynthesisOptions partitioned = serial;
+  partitioned.partitioning.enabled = true;
+  partitioned.partitioning.arc_threshold = 1;
+  partitioned.partitioning.max_cluster_arcs = 3;
+
+  const std::uint64_t created = pools_created();
+  for (const synth::SynthesisOptions& options : {serial, rounds, partitioned}) {
+    ASSERT_TRUE(synth::synthesize(cg, lib, options).ok());
+  }
+  EXPECT_EQ(pools_created(), created);
+}
+
+TEST(ThreadPool, SharedPoolOutlivesEachTraceSession) {
+  // The caller may destroy its trace sink the moment the map returns, while
+  // the process pool's workers live on: every task's span must be closed
+  // by then. ASan flags a worker that writes into a dead sink.
+  constexpr std::size_t kItems = 16;
+  ThreadPool& pool = ThreadPool::shared(4);
+  for (int round = 0; round < 100; ++round) {
+    std::vector<TraceEvent> events;
+    {
+      ScopedTraceSession session;
+      parallel_map_ordered(&pool, kItems, [](std::size_t i) { return i; });
+      events = session.sink().snapshot();
+    }
+    std::size_t begins = 0;
+    std::size_t ends = 0;
+    for (const TraceEvent& e : events) {
+      if (std::string_view(e.name) != "task") continue;
+      ++(e.phase == TraceEvent::Phase::kBegin ? begins : ends);
+      EXPECT_EQ(e.scope, "");  // the pool's own span stays unscoped
+    }
+    EXPECT_EQ(begins, kItems) << "round " << round;
+    EXPECT_EQ(ends, kItems) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, TaskHistogramIsCompleteWhenTheMapReturns) {
+  Histogram& task_us =
+      MetricsRegistry::global().histogram("thread_pool.task.us");
+  constexpr std::size_t kItems = 32;
+  set_timing_enabled(true);
+  for (int round = 0; round < 100; ++round) {
+    const std::uint64_t before = task_us.snapshot().count;
+    parallel_map_ordered(&ThreadPool::shared(4), kItems,
+                         [](std::size_t i) { return i; });
+    EXPECT_EQ(task_us.snapshot().count, before + kItems) << "round " << round;
+  }
+  set_timing_enabled(false);
+}
+
 // --- Deadline under concurrency -----------------------------------------
 
 TEST(DeadlineConcurrency, PollsNeverTearTheCheckCount) {
@@ -113,62 +197,6 @@ TEST(DeadlineConcurrency, PollsNeverTearTheCheckCount) {
   EXPECT_TRUE(d.latched());
   EXPECT_LE(alive_polls.load(), kBudget);
   EXPECT_TRUE(d.expired());  // latch holds
-}
-
-TEST(DeadlineConcurrency, ExpiryCallbackFiresExactlyOnce) {
-  std::atomic<int> fired{0};
-  Deadline d = Deadline::expire_after_checks(100);
-  d.on_expiry([&fired] { fired.fetch_add(1); });
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&d] {
-      for (int i = 0; i < 1000; ++i) (void)d.expired();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(fired.load(), 1);
-}
-
-TEST(DeadlineConcurrency, CallbackSharedAcrossCopies) {
-  // Copies snapshot the poll budget but SHARE the once-only callback state:
-  // whichever copy latches first fires it, and the others stay silent.
-  std::atomic<int> fired{0};
-  Deadline original = Deadline::expire_after_checks(5);
-  original.on_expiry([&fired] { fired.fetch_add(1); });
-  Deadline copy = original;
-
-  for (int i = 0; i < 20; ++i) (void)copy.expired();
-  EXPECT_EQ(fired.load(), 1);
-  for (int i = 0; i < 20; ++i) (void)original.expired();
-  EXPECT_EQ(fired.load(), 1);  // still once, across both copies
-}
-
-TEST(DeadlineConcurrency, CancelTokenObservedByAllPollers) {
-  CancelToken token;
-  Deadline d = Deadline::never();
-  d.attach(token);
-  EXPECT_FALSE(d.expired());
-
-  std::atomic<bool> all_saw_expiry{true};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&d, &all_saw_expiry] {
-      // Spin until this thread observes the cancellation. Bounded by wall
-      // clock, not iterations: under a loaded ctest -j the cancelling
-      // thread may not be scheduled for many milliseconds.
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (std::chrono::steady_clock::now() < give_up) {
-        if (d.expired()) return;
-        std::this_thread::yield();
-      }
-      all_saw_expiry.store(false);
-    });
-  }
-  token.cancel();
-  for (auto& th : threads) th.join();
-  EXPECT_TRUE(all_saw_expiry.load());
 }
 
 TEST(DeadlineConcurrency, LatchedIsPollFree) {
