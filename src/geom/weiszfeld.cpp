@@ -50,13 +50,17 @@ Point2D euclidean_weiszfeld(std::span<const Point2D> terminals,
   if (wsum <= 0.0) return {0.0, 0.0};
   x = x / wsum;
 
+  // d_i = ||x - t_i||, computed inline with the same std::hypot that
+  // geom::distance uses, so the iterates are bit-identical to it.
+  const auto dist = [&](std::size_t i) {
+    return std::hypot(x.x - terminals[i].x, x.y - terminals[i].y);
+  };
   for (int it = 0; it < options.max_iterations; ++it) {
     Point2D num{0.0, 0.0};
     double den = 0.0;
-    Point2D pull{0.0, 0.0};  // net pull when x sits exactly on a terminal
-    double anchor_weight = 0.0;
+    double anchor_weight = 0.0;  // > 0 when x sits exactly on a terminal
     for (std::size_t i = 0; i < terminals.size(); ++i) {
-      const double d = distance(x, terminals[i], Norm::kEuclidean);
+      const double d = dist(i);
       if (d < 1e-12) {
         anchor_weight = weights[i];
         continue;
@@ -64,13 +68,19 @@ Point2D euclidean_weiszfeld(std::span<const Point2D> terminals,
       const double c = weights[i] / d;
       num += c * terminals[i];
       den += c;
-      pull += (weights[i] / d) * (terminals[i] - x);
     }
     if (den == 0.0) break;  // all terminals coincide with x
     Point2D next = num / den;
     if (anchor_weight > 0.0) {
       // Kuhn's rule: x coincides with terminal t of weight w. t is optimal
-      // iff ||pull|| <= w; otherwise step away along the pull direction.
+      // iff ||pull|| <= w, where pull is the net pull of the other
+      // terminals; otherwise step away along the pull direction.
+      Point2D pull{0.0, 0.0};
+      for (std::size_t i = 0; i < terminals.size(); ++i) {
+        const double d = dist(i);
+        if (d < 1e-12) continue;
+        pull += (weights[i] / d) * (terminals[i] - x);
+      }
       const double pull_len = std::hypot(pull.x, pull.y);
       if (pull_len <= anchor_weight) return x;
       const double step = (pull_len - anchor_weight) / den;

@@ -200,7 +200,8 @@ std::string describe_perf(const support::MetricsSnapshot& m,
   const std::uint64_t hits = counter_or(m, "synth.pricing_cache.hits");
   const std::uint64_t misses = counter_or(m, "synth.pricing_cache.misses");
   os << "  pricing: " << counter_or(m, "synth.subsets_examined")
-     << " subset(s) examined, cache " << hits << "/" << (hits + misses)
+     << " subset(s) examined, " << counter_or(m, "synth.subsets_priced")
+     << " priced, cache " << hits << "/" << (hits + misses)
      << " hits (" << pct(hits, hits + misses) << ")";
   if (const std::uint64_t ev = counter_or(m, "synth.pricing_cache.evictions");
       ev > 0) {

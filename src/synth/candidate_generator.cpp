@@ -280,6 +280,7 @@ support::Expected<CandidateSet> generate_candidates(
   support::ThreadPool* pool =
       support::fan_out_pool(options.threads, options.pool);
   const PricerMetrics pricer_metrics = PricerMetrics::resolve();
+  support::Counter& subsets_priced = registry.counter("synth.subsets_priced");
 
   // Pricing-batch size: large enough to amortize fan-out overhead and keep
   // every worker busy, small enough to bound the held-subsets memory when
@@ -375,6 +376,7 @@ support::Expected<CandidateSet> generate_candidates(
       // Phase 2: price the surviving subsets. Concurrent when a pool
       // exists, inline otherwise; either way the results come back in
       // enumeration order, so phase 3 is the same fold as the serial run.
+      subsets_priced.add(batch.size());
       std::vector<PricedStructures> priced = support::parallel_map_ordered(
           pool, batch.size(), [&](std::size_t i) {
             return price_subset(cg, library, options, batch[i],

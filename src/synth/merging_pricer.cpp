@@ -1,7 +1,9 @@
 #include "synth/merging_pricer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "geom/minimize.hpp"
@@ -118,31 +120,46 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
 
     // Weiszfeld placement: each free endpoint is pulled by its own legs
     // plus the trunk toward the opposite endpoint. Exact for linear cost
-    // models; a warm start otherwise.
+    // models; a warm start otherwise. A side's solve is a pure function of
+    // the opposite endpoint, so it is skipped when that endpoint is bitwise
+    // the one the side was last solved against (common: the optimum often
+    // sits exactly on a terminal).
+    std::vector<double> ws = leg_w;
+    ws.push_back(trunk_w);
+    std::vector<geom::Point2D> hub_pts = sources;
+    hub_pts.push_back(split);
+    std::vector<geom::Point2D> split_pts = targets;
+    split_pts.push_back(hub);
+    bool hub_solved = false;
+    bool split_solved = false;
+    const auto same_bits = [](geom::Point2D a, geom::Point2D b) {
+      return std::bit_cast<std::uint64_t>(a.x) ==
+                 std::bit_cast<std::uint64_t>(b.x) &&
+             std::bit_cast<std::uint64_t>(a.y) ==
+                 std::bit_cast<std::uint64_t>(b.y);
+    };
     auto weiszfeld_hub = [&]() {
-      std::vector<geom::Point2D> pts = sources;
-      std::vector<double> ws = leg_w;
-      pts.push_back(split);
-      ws.push_back(trunk_w);
-      return geom::weighted_geometric_median(pts, ws, norm);
+      if (hub_solved && same_bits(hub_pts.back(), split)) return;
+      hub_pts.back() = split;
+      hub = geom::weighted_geometric_median(hub_pts, ws, norm);
+      hub_solved = true;
     };
     auto weiszfeld_split = [&]() {
-      std::vector<geom::Point2D> pts = targets;
-      std::vector<double> ws = leg_w;
-      pts.push_back(hub);
-      ws.push_back(trunk_w);
-      return geom::weighted_geometric_median(pts, ws, norm);
+      if (split_solved && same_bits(split_pts.back(), hub)) return;
+      split_pts.back() = hub;
+      split = geom::weighted_geometric_median(split_pts, ws, norm);
+      split_solved = true;
     };
-    if (plan.has_hub) hub = weiszfeld_hub();
-    if (plan.has_split) split = weiszfeld_split();
+    if (plan.has_hub) weiszfeld_hub();
+    if (plan.has_split) weiszfeld_split();
 
     const int rounds = (plan.has_hub && plan.has_split) ? 3 : 1;
     if (library.linear_cost_model()) {
       // Leg costs are exactly slope * length + constants: alternating
       // Weiszfeld solves each coordinate block to optimality.
       for (int r = 1; r < rounds; ++r) {
-        if (plan.has_hub) hub = weiszfeld_hub();
-        if (plan.has_split) split = weiszfeld_split();
+        if (plan.has_hub) weiszfeld_hub();
+        if (plan.has_split) weiszfeld_split();
       }
     } else {
       // Segmented / fixed-cost libraries make the objective piecewise;

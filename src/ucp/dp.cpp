@@ -63,52 +63,88 @@ CoverSolution solve_dp(const CoverProblem& problem,
     }
   }
 
+  // Top-down evaluation of the recurrence from the full mask: only states
+  // the answer reads are filled. A state's value is a pure function of the
+  // state, and each state reads its sub-states in the same order with the
+  // same arithmetic as a bottom-up sweep would, so dp/choice are identical
+  // to the sweep's at every evaluated state. NaN marks "not yet evaluated"
+  // (feasible states hold finite values, infeasible ones +inf; this relies
+  // on the library not being built with finite-only math).
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
   const std::size_t full = (std::size_t{1} << rows) - 1;
-  std::vector<double> dp(full + 1, kInf);
+  std::vector<double> dp(full + 1, kUnset);
   std::vector<std::uint32_t> choice(full + 1, UINT32_MAX);
   dp[0] = 0.0;
 
-  for (std::size_t m = 1; m <= full; ++m) {
-    if ((m & 0xFFF) == 0) {
+  // Explicit stack of suspended evaluations: each frame resumes its scan of
+  // the lowest uncovered row's columns at `next` once the sub-state it is
+  // waiting on is filled. A sub-state has strictly fewer rows, so the stack
+  // never holds more than `rows` frames.
+  struct Frame {
+    std::size_t mask;
+    std::size_t next;
+    double best;
+    std::uint32_t best_col;
+  };
+  std::vector<Frame> stack;
+  stack.reserve(rows);
+  stack.push_back({full, 0, kInf, UINT32_MAX});
+  std::size_t evaluated = 0;
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    // The lowest uncovered row must be covered.
+    const std::vector<std::uint32_t>& cols =
+        cols_of_row[static_cast<std::size_t>(std::countr_zero(f.mask))];
+    std::size_t pending = 0;
+    for (; f.next < cols.size(); ++f.next) {
+      const std::uint32_t j = cols[f.next];
+      const double w = problem.column(j).weight;
+      if (w >= f.best) break;  // cheapest-first order: no improvement possible
+      const std::size_t sub = f.mask & ~static_cast<std::size_t>(col_mask[j]);
+      const double rest = dp[sub];
+      if (std::isnan(rest)) {
+        pending = sub;
+        break;
+      }
+      if (rest + w < f.best) {
+        f.best = rest + w;
+        f.best_col = j;
+      }
+    }
+    if (pending != 0) {
+      stack.push_back({pending, 0, kInf, UINT32_MAX});
+      continue;
+    }
+    dp[f.mask] = f.best;
+    choice[f.mask] = f.best_col;
+    stack.pop_back();
+    if ((++evaluated & 0xFFF) == 0) {
       if (deadline.expired()) {
         sol.cost = kInf;
-        sol.nodes_explored = m;
+        sol.nodes_explored = evaluated;
         sol.deadline_expired = true;
         sol.stop = CoverStop::kDeadline;
         return sol;
       }
       if (injector != nullptr && injector->should_fail(support::fault_sites::kUcpFrontier)) {
         sol.cost = kInf;
-        sol.nodes_explored = m;
+        sol.nodes_explored = evaluated;
         sol.stop = CoverStop::kAborted;
         return sol;
       }
     }
-    const int r = std::countr_zero(m);  // lowest uncovered row must be covered
-    double best = kInf;
-    std::uint32_t best_col = UINT32_MAX;
-    for (std::uint32_t j : cols_of_row[static_cast<std::size_t>(r)]) {
-      const double w = problem.column(j).weight;
-      if (w >= best) break;  // cheapest-first order: no improvement possible
-      const double rest = dp[m & ~static_cast<std::size_t>(col_mask[j])];
-      if (rest + w < best) {
-        best = rest + w;
-        best_col = j;
-      }
-    }
-    dp[m] = best;
-    choice[m] = best_col;
   }
 
-  sol.nodes_explored = full + 1;
+  sol.nodes_explored = evaluated;
   if (!std::isfinite(dp[full])) {
     sol.cost = kInf;
     return sol;
   }
   sol.cost = dp[full];
   sol.optimal = true;
-  // Reconstruct; a column may appear once (its mask strictly shrinks m).
+  // Reconstruct along evaluated states; a column may appear once (its mask
+  // strictly shrinks m).
   std::size_t m = full;
   while (m != 0) {
     const std::uint32_t j = choice[m];

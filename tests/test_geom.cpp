@@ -182,6 +182,59 @@ TEST(Weiszfeld, HeavyWeightPinsOptimum) {
   EXPECT_NEAR(m.y, 0.0, 1e-6);
 }
 
+// The Weiszfeld iteration starts from the weighted centroid. In the next two
+// cases that centroid coincides with a terminal, so the very first iterate
+// sits on it and Kuhn's rule decides: stay when the other terminals' net
+// pull is at most the terminal's weight, step away otherwise.
+Point2D weighted_centroid(const std::vector<Point2D>& pts,
+                          const std::vector<double>& ws) {
+  Point2D sum{0.0, 0.0};
+  double total = 0.0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    sum += ws[i] * pts[i];
+    total += ws[i];
+  }
+  return sum / total;
+}
+
+TEST(Weiszfeld, CentroidOnOptimalTerminalIsReturnedExactly) {
+  // Net pull at the origin is |(1,0) + (0,1) + (-1,-2)/sqrt(5)| ~ 0.56,
+  // below the origin's weight 2: the origin is the optimum.
+  const std::vector<Point2D> pts = {{0, 0}, {1, 0}, {0, 2}, {-1, -2}};
+  const std::vector<double> ws = {2.0, 1.0, 1.0, 1.0};
+  const Point2D c = weighted_centroid(pts, ws);
+  ASSERT_EQ(c.x, 0.0);
+  ASSERT_EQ(c.y, 0.0);
+  const Point2D m = weighted_geometric_median(pts, ws, Norm::kEuclidean);
+  EXPECT_EQ(m.x, 0.0);
+  EXPECT_EQ(m.y, 0.0);
+}
+
+TEST(Weiszfeld, CentroidOnSuboptimalTerminalStepsToTheFermatPoint) {
+  // Seen from the origin, A, B and C lie 120 degrees apart and T, D are
+  // opposite with equal weight, so the unit pulls cancel there: the origin
+  // is the (unique, interior) optimum. The distances are chosen so that
+  // the weighted centroid is T = (1, 0), which is not optimal.
+  const double s3 = std::sqrt(3.0);
+  const double b = 1.0;
+  const double c = 1.0 + 10.0 / s3;
+  const double a = (b + c) / 2.0;
+  const std::vector<Point2D> pts = {{0.0, a},
+                                    {-b * s3 / 2.0, -b / 2.0},
+                                    {c * s3 / 2.0, -c / 2.0},
+                                    {1.0, 0.0},
+                                    {-1.0, 0.0}};
+  const std::vector<double> ws = {1.0, 1.0, 1.0, 1.0, 1.0};
+  ASSERT_LT(std::hypot(weighted_centroid(pts, ws).x - 1.0,
+                       weighted_centroid(pts, ws).y),
+            1e-12);
+  const Point2D m = weighted_geometric_median(pts, ws, Norm::kEuclidean);
+  EXPECT_NEAR(m.x, 0.0, 1e-6);
+  EXPECT_NEAR(m.y, 0.0, 1e-6);
+  EXPECT_LE(fermat_weber_cost(m, pts, ws, Norm::kEuclidean),
+            fermat_weber_cost({0.0, 0.0}, pts, ws, Norm::kEuclidean) + 1e-9);
+}
+
 TEST(Weiszfeld, ManhattanIsCoordinatewiseMedian) {
   const std::vector<Point2D> pts = {{0, 0}, {2, 7}, {10, 3}};
   const std::vector<double> ws = {1, 1, 1};

@@ -25,6 +25,7 @@
 
 #include "commlib/standard_libraries.hpp"
 #include "io/edit_script.hpp"
+#include "io/report.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -456,6 +457,23 @@ TEST(Metrics, SnapshotDeltaIsPerRunView) {
   EXPECT_EQ(delta.counters.at("fresh"), 1u);
   EXPECT_EQ(delta.histograms.at("lat.us").count, 1u);
   EXPECT_DOUBLE_EQ(delta.histograms.at("lat.us").sum, 20.0);
+}
+
+TEST(Metrics, ReportSeparatesExaminedFromPricedSubsets) {
+  // WAN enumerates 120 subsets; the 57 that survive pruning go to the
+  // pricers (one star call each), and --report-perf says both.
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  const auto r = synth::synthesize(workloads::wan2002(), commlib::wan_library());
+  ASSERT_TRUE(r.ok());
+  const MetricsSnapshot delta =
+      MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(delta.counters.at("synth.subsets_examined"), 120u);
+  EXPECT_EQ(delta.counters.at("synth.subsets_priced"), 57u);
+  EXPECT_EQ(delta.counters.at("pricer.star.calls"), 57u);
+  const std::string report = io::describe_perf(delta, &*r);
+  EXPECT_NE(report.find("pricing: 120 subset(s) examined, 57 priced,"),
+            std::string::npos)
+      << report;
 }
 
 TEST(Metrics, JsonExportIsValid) {

@@ -8,8 +8,14 @@
 //     summed lower bound, and stay within the 10% optimality-gap
 //     acceptance bound of the true exact optimum on small instances;
 //   * PartitionedDeterminism -- the stitched result is bit-identical at
-//     1, 2, and 8 worker threads (this suite also runs under TSan in CI).
+//     1, 2, and 8 worker threads (this suite also runs under TSan in CI);
+//   * PricingCoverPin -- cover cost, chosen columns and a hash of every
+//     candidate's cost bits are pinned, so any drift in pricing (Weiszfeld)
+//     or covering (dense DP, B&B) fails here first.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +163,74 @@ TEST(PartitionedDeterminism, FatTreeAcrossThreads) {
   opts.threads = 8;
   const SynthesisResult parallel = synthesize(cg, lib, opts).value();
   expect_bit_identical(serial, parallel, "fat_tree");
+}
+
+// FNV-1a over the IEEE-754 bits of every candidate cost, in candidate
+// order: one number that moves when any priced merging moves by one ulp.
+std::uint64_t candidate_cost_hash(const SynthesisResult& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const Candidate& c : r.candidates()) {
+    const auto bits = std::bit_cast<std::uint64_t>(c.cost);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct Pin {
+  double cover_cost;
+  std::vector<std::size_t> chosen;
+  std::size_t candidates;
+  std::uint64_t cost_hash;
+};
+
+void expect_pinned(const SynthesisResult& r, const Pin& pin, const char* what) {
+  EXPECT_EQ(r.cover.cost, pin.cover_cost) << what;
+  EXPECT_EQ(r.cover.chosen, pin.chosen) << what;
+  EXPECT_EQ(r.candidates().size(), pin.candidates) << what;
+  EXPECT_EQ(candidate_cost_hash(r), pin.cost_hash) << what;
+}
+
+TEST(PricingCoverPin, PaperWan) {
+  const SynthesisResult r =
+      synthesize(workloads::wan2002(), commlib::wan_library()).value();
+  expect_pinned(r,
+                {464579.34718242241, {0, 1, 2, 6, 7, 38}, 65,
+                 0xf312fab3eaf9e2a9ULL},
+                "wan2002");
+}
+
+TEST(PricingCoverPin, PartitionedGeoWanAtOneAndFourThreads) {
+  const model::ConstraintGraph cg =
+      workloads::geo_wan(workloads::GeoWanParams::sized(320, 7));
+  const commlib::Library lib = commlib::wan_library();
+  // A kernel speed-up in pricing or covering must leave every bit in place.
+  const std::vector<std::size_t> chosen = {
+      0, 1, 5, 10, 13, 16, 20, 26, 71, 72, 75, 112, 184, 195, 209, 225, 230,
+      381, 398, 403, 416, 428, 431, 472, 543, 600, 775, 781, 782, 784, 785,
+      786, 787, 820, 889, 949, 950, 951, 952, 960, 961, 986, 987, 1011, 1060,
+      1094, 1095, 1099, 1100, 1103, 1105, 1108, 1109, 1119, 1140, 1167, 1196,
+      1197, 1203, 1213, 1221, 1232, 1239, 1253, 1284, 1317, 1478, 1479, 1480,
+      1483, 1486, 1490, 1492, 1494, 1501, 1504, 1507, 1612, 1613, 1618, 1627,
+      1641, 1645, 1652, 1666, 1776, 1777, 1778, 1779, 1780, 1782, 1785, 1786,
+      1788, 1793, 1801, 1851, 1912, 1913, 1916, 1919, 1920, 1923, 1924, 1948,
+      1955, 1987, 2079, 2082, 2085, 2092, 2162, 2163, 2164, 2165, 2166, 2169,
+      2170, 2221, 2223, 2255, 2256, 2257, 2263, 2266, 2334, 2336, 2339, 2340,
+      2341, 2342, 2343, 2363, 2377, 2383, 2386, 2391, 2420, 2587, 2603, 2604,
+      2605, 2606, 2607, 2610, 2620, 2684, 2686, 2688, 2690, 2693, 2694, 2695,
+      2812, 3043, 3177, 3730, 4135, 4136, 4137, 4138, 4141, 4757, 5261, 5564,
+      6149, 6711, 6712, 6714, 6727, 6730, 6949, 7070, 7642, 8082, 8600, 8604,
+      8611, 8653, 8660, 8691, 8837, 8955, 9367};
+  const Pin pin{35518732.878199115, chosen, 9393, 0x3e5e0f0664374b66ULL};
+  for (const int threads : {1, 4}) {
+    SynthesisOptions opts;
+    opts.partitioning.enabled = true;
+    opts.threads = threads;
+    const SynthesisResult r = synthesize(cg, lib, opts).value();
+    expect_pinned(r, pin, threads == 1 ? "geo_wan t1" : "geo_wan t4");
+  }
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "support/fault.hpp"
 #include "ucp/bnb.hpp"
 #include "ucp/dp.hpp"
 #include "ucp/greedy.hpp"
@@ -287,6 +293,155 @@ TEST(DenseDp, EdgeCases) {
   const CoverSolution s = solve_dp(q);
   EXPECT_DOUBLE_EQ(s.cost, 3.0);
   EXPECT_EQ(s.chosen, (std::vector<std::size_t>{1}));
+}
+
+// Bottom-up reference for solve_dp: the same recurrence swept over every
+// mask in increasing order. solve_dp evaluates it top-down and fills only
+// the states the answer reads, so cost and chosen columns must match this
+// sweep bit for bit.
+struct ReferenceDp {
+  double cost;
+  std::vector<std::size_t> chosen;
+};
+
+ReferenceDp reference_dp(const CoverProblem& p) {
+  const std::size_t rows = p.num_rows();
+  const std::size_t cols = p.num_columns();
+  std::vector<std::uint32_t> mask(cols, 0);
+  for (std::size_t j = 0; j < cols; ++j) {
+    p.column(j).rows.for_each(
+        [&](std::size_t r) { mask[j] |= std::uint32_t{1} << r; });
+  }
+  std::vector<std::uint32_t> order(cols);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return p.column(a).weight < p.column(b).weight;
+  });
+  std::vector<std::vector<std::uint32_t>> by_row(rows);
+  for (std::uint32_t j : order) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (mask[j] >> r & 1U) by_row[r].push_back(j);
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t full = (std::size_t{1} << rows) - 1;
+  std::vector<double> dp(full + 1, kInf);
+  std::vector<std::uint32_t> choice(full + 1, UINT32_MAX);
+  dp[0] = 0.0;
+  for (std::size_t m = 1; m <= full; ++m) {
+    double best = kInf;
+    for (std::uint32_t j : by_row[std::countr_zero(m)]) {
+      const double w = p.column(j).weight;
+      if (w >= best) break;
+      const double rest = dp[m & ~static_cast<std::size_t>(mask[j])];
+      if (rest + w < best) {
+        best = rest + w;
+        choice[m] = j;
+      }
+    }
+    dp[m] = best;
+  }
+  ReferenceDp ref{dp[full], {}};
+  if (!std::isfinite(ref.cost)) return ref;
+  for (std::size_t m = full; m != 0; m &= ~static_cast<std::size_t>(mask[choice[m]])) {
+    ref.chosen.push_back(choice[m]);
+  }
+  std::sort(ref.chosen.begin(), ref.chosen.end());
+  return ref;
+}
+
+TEST(DenseDp, MatchesBottomUpReferenceExactly) {
+  // Rows 1-20, sparse and dense incidence, continuous and small-integer
+  // weights (ties), duplicated columns, and one infeasible variant per row
+  // count (its last row has no column).
+  for (std::size_t rows = 1; rows <= 20; ++rows) {
+    for (int variant = 0; variant < 5; ++variant) {
+      std::mt19937 rng(static_cast<unsigned>(1000 * rows + variant));
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      const double density = variant % 2 == 0 ? 0.15 : 0.45;
+      const bool ties = variant >= 2;
+      const bool infeasible = variant == 4;
+      const std::size_t covered_rows = infeasible ? rows - 1 : rows;
+      CoverProblem p(rows);
+      const std::size_t cols = 3 * rows + 10;
+      for (std::size_t j = 0; j < cols && covered_rows > 0; ++j) {
+        std::vector<std::size_t> covered;
+        for (std::size_t r = 0; r < covered_rows; ++r) {
+          if (unit(rng) < density) covered.push_back(r);
+        }
+        if (covered.empty()) covered.push_back(j % covered_rows);
+        const double w = ties ? std::floor(1.0 + 3.0 * unit(rng))
+                              : 0.5 + 9.5 * unit(rng);
+        p.add_column(covered, w);
+        if (j % 4 == 0) p.add_column(covered, w);  // duplicate mask and weight
+      }
+      for (std::size_t r = 0; r < covered_rows; ++r) p.add_column({r}, 6.0);
+
+      const ReferenceDp ref = reference_dp(p);
+      const CoverSolution s = solve_dp(p);
+      SCOPED_TRACE(testing::Message() << "rows " << rows << " variant " << variant);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.cost),
+                std::bit_cast<std::uint64_t>(ref.cost));
+      EXPECT_EQ(s.chosen, ref.chosen);
+      EXPECT_EQ(s.optimal, std::isfinite(ref.cost));
+      EXPECT_EQ(infeasible, std::isinf(s.cost));
+      EXPECT_GE(s.nodes_explored, 1U);
+      EXPECT_LE(s.nodes_explored, std::size_t{1} << rows);
+    }
+  }
+}
+
+/// 15 rows, every 1-, 2- and 3-row column, cheaper per row as it grows: the
+/// DP evaluates 4,409 states, so one in-table poll (every 4,096 evaluated
+/// states) happens before the table is done.
+CoverProblem polled_dp_problem() {
+  constexpr std::size_t kRows = 15;
+  CoverProblem p(kRows);
+  for (std::uint32_t s = 1; s < (1U << kRows); ++s) {
+    const int size = std::popcount(s);
+    if (size > 3) continue;
+    std::vector<std::size_t> covered;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (s >> r & 1U) covered.push_back(r);
+    }
+    p.add_column(covered, 1.0 + 0.9 * (size - 1));
+  }
+  return p;
+}
+
+TEST(DenseDp, DeadlineMidTableFallsBackToTheSeededIncumbent) {
+  const CoverProblem p = polled_dp_problem();
+  const CoverSolution done = solve_dp(p);
+  ASSERT_TRUE(done.optimal);
+  ASSERT_GT(done.nodes_explored, 4096U);
+
+  BnbOptions o;
+  o.backend = "dense_dp";
+  // One poll before the DP starts, then expiry at the first in-table poll.
+  o.deadline = support::Deadline::expire_after_checks(1);
+  const CoverSolution s = solve_exact(p, o);
+  EXPECT_EQ(s.stop, CoverStop::kDeadline);
+  EXPECT_TRUE(s.deadline_expired);
+  EXPECT_FALSE(s.optimal);
+  EXPECT_EQ(s.nodes_explored, 4096U);
+  EXPECT_TRUE(p.covers_all(s.chosen));  // the seeded fallback
+  EXPECT_GE(s.cost, done.cost);
+  EXPECT_LE(s.lower_bound, done.cost + 1e-9);
+}
+
+TEST(DenseDp, FrontierFaultMidTableAborts) {
+  const CoverProblem p = polled_dp_problem();
+  auto plan = support::FaultPlan::parse("ucp.frontier@2");
+  ASSERT_TRUE(plan.ok());
+  support::FaultInjector injector(*plan);
+  // Hit 1 is the up-front consult; hit 2 the first in-table poll.
+  const CoverSolution s = solve_dp(p, {}, std::numeric_limits<std::size_t>::max(),
+                                   &injector);
+  EXPECT_EQ(s.stop, CoverStop::kAborted);
+  EXPECT_FALSE(s.optimal);
+  EXPECT_EQ(s.nodes_explored, 4096U);
+  EXPECT_TRUE(s.chosen.empty());
+  EXPECT_TRUE(std::isinf(s.cost));
 }
 
 TEST(Exact, ReductionAblationsAgree) {
