@@ -28,7 +28,20 @@ LinkIndex Library::add_link(Link link) {
 
 NodeIndex Library::add_node(Node node) {
   nodes_.push_back(std::move(node));
+  note_cheapest(nodes_.size() - 1);
   return nodes_.size() - 1;
+}
+
+void Library::note_cheapest(NodeIndex added) {
+  // The incremental form of a strict-< scan in insertion order: a later
+  // node replaces the incumbent only when strictly cheaper.
+  const Node& n = nodes_[added];
+  for (NodeKind kind : {NodeKind::kRepeater, NodeKind::kMux, NodeKind::kDemux,
+                        NodeKind::kSwitch}) {
+    if (!n.can_act_as(kind)) continue;
+    std::optional<NodeIndex>& best = cheapest_[static_cast<std::size_t>(kind)];
+    if (!best || n.cost < nodes_[*best].cost) best = added;
+  }
 }
 
 support::Expected<LinkIndex> Library::try_add_link(Link link) {
@@ -67,6 +80,7 @@ support::Expected<NodeIndex> Library::try_add_node(Node node) {
         std::to_string(node.cost) + " (must be finite and nonnegative)");
   }
   nodes_.push_back(std::move(node));
+  note_cheapest(nodes_.size() - 1);
   return nodes_.size() - 1;
 }
 
@@ -82,15 +96,6 @@ std::optional<NodeIndex> Library::find_node(std::string_view name) const {
     if (nodes_[i].name == name) return i;
   }
   return std::nullopt;
-}
-
-std::optional<NodeIndex> Library::cheapest_node(NodeKind kind) const {
-  std::optional<NodeIndex> best;
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].can_act_as(kind)) continue;
-    if (!best || nodes_[i].cost < nodes_[*best].cost) best = i;
-  }
-  return best;
 }
 
 namespace {

@@ -1,6 +1,7 @@
 // The communication library L = L (links) ∪ N (nodes) of Def 2.2.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,9 +46,13 @@ class Library {
   std::optional<LinkIndex> find_link(std::string_view name) const;
   std::optional<NodeIndex> find_node(std::string_view name) const;
 
-  /// Cheapest node able to act as `kind` (switches qualify for every kind).
-  /// Empty when the library offers no such node.
-  std::optional<NodeIndex> cheapest_node(NodeKind kind) const;
+  /// Cheapest node able to act as `kind` (switches qualify for every kind;
+  /// among equal costs the earliest added wins). Empty when the library
+  /// offers no such node. O(1): add_node and try_add_node keep the answer
+  /// for every kind, so pricing loops may call this per evaluation.
+  std::optional<NodeIndex> cheapest_node(NodeKind kind) const {
+    return cheapest_[static_cast<std::size_t>(kind)];
+  }
 
   /// max_{l in L} b(l): the bandwidth bound used by Theorem 3.2. Zero for an
   /// empty link set.
@@ -82,6 +87,10 @@ class Library {
   std::string name_;
   std::vector<Link> links_;
   std::vector<Node> nodes_;
+  /// cheapest_node(kind) per NodeKind, refreshed by note_cheapest.
+  std::array<std::optional<NodeIndex>, 4> cheapest_;
+
+  void note_cheapest(NodeIndex added);
 };
 
 }  // namespace cdcs::commlib

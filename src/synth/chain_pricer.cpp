@@ -14,20 +14,15 @@ namespace {
 constexpr double kCoincideEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Marginal per-length slope of carrying bandwidth b (see merging_pricer).
-double length_slope_for(double b, const commlib::Library& lib) {
-  const bool can_bundle =
-      lib.cheapest_node(commlib::NodeKind::kMux).has_value() &&
-      lib.cheapest_node(commlib::NodeKind::kDemux).has_value();
-  double best = kInf;
-  for (const commlib::Link& l : lib.links()) {
-    if (l.bandwidth <= 0.0) continue;
-    const double dup = std::ceil(b / l.bandwidth - 1e-12);
-    if (dup > 1.0 && !can_bundle) continue;
-    best = std::min(best, std::max(dup, 1.0) * l.cost_per_length);
-  }
-  return std::isfinite(best) && best > 0.0 ? best : 1.0;
-}
+/// One merged channel as the chain sees it: the port its leg reaches, its
+/// demand, and what the library makes of that demand. The last two are
+/// resolved once per subset and shared by every drop order.
+struct Spoke {
+  geom::Point2D pos;
+  double demand{0.0};
+  double slope{1.0};               ///< length_slope(demand)
+  const PtpKernel* leg{nullptr};   ///< prices the drop leg
+};
 
 struct OrderEvaluation {
   std::vector<geom::Point2D> drop_pos;
@@ -37,10 +32,9 @@ struct OrderEvaluation {
   std::vector<PtpPlan> legs;
 };
 
-/// Prices one drop order. `spokes[i]`/`demand[i]` follow the order.
+/// Prices one drop order. `spokes` follow the order.
 OrderEvaluation evaluate_order(const geom::Point2D root,
-                               const std::vector<geom::Point2D>& spokes,
-                               const std::vector<double>& demand,
+                               const std::vector<Spoke>& spokes,
                                const commlib::Library& lib, geom::Norm norm,
                                model::CapacityPolicy policy,
                                double node_cost, int refine_rounds) {
@@ -50,30 +44,31 @@ OrderEvaluation evaluate_order(const geom::Point2D root,
   // Cumulative bandwidth carried by segment j (0-based: root->drop1 is 0):
   // everything not yet dropped.
   std::vector<double> seg_bw(k, 0.0);
+  std::vector<double> seg_slope(k, 0.0);
   for (std::size_t j = 0; j < k; ++j) {
     double bw = 0.0;
     for (std::size_t i = j; i < k; ++i) {
       bw = policy == model::CapacityPolicy::kSharedSum
-               ? bw + demand[i]
-               : std::max(bw, demand[i]);
+               ? bw + spokes[i].demand
+               : std::max(bw, spokes[i].demand);
     }
     seg_bw[j] = bw;
+    seg_slope[j] = length_slope(bw, lib);
   }
 
   // Chain point sequence q_0 = root, q_1..q_{k-1} = drop nodes, q_k =
   // terminus (the last spoke's own port). Drops start at their targets.
   std::vector<geom::Point2D> q(k + 1);
   q[0] = root;
-  for (std::size_t i = 0; i + 1 < k; ++i) q[i + 1] = spokes[i];
-  q[k] = spokes[k - 1];
+  for (std::size_t i = 0; i + 1 < k; ++i) q[i + 1] = spokes[i].pos;
+  q[k] = spokes[k - 1].pos;
 
   // Fermat-Weber re-centering of interior drops.
   for (int round = 0; round < refine_rounds; ++round) {
     for (std::size_t j = 1; j < k; ++j) {
-      const geom::Point2D pts[] = {q[j - 1], q[j + 1], spokes[j - 1]};
-      const double ws[] = {length_slope_for(seg_bw[j - 1], lib),
-                           length_slope_for(seg_bw[j], lib),
-                           length_slope_for(demand[j - 1], lib)};
+      const geom::Point2D pts[] = {q[j - 1], q[j + 1], spokes[j - 1].pos};
+      const double ws[] = {seg_slope[j - 1], seg_slope[j],
+                           spokes[j - 1].slope};
       q[j] = geom::weighted_geometric_median(pts, ws, norm);
     }
   }
@@ -90,8 +85,8 @@ OrderEvaluation evaluate_order(const geom::Point2D root,
   }
   out.legs.reserve(k - 1);
   for (std::size_t i = 0; i + 1 < k; ++i) {
-    const auto leg = best_point_to_point(
-        geom::distance(q[i + 1], spokes[i], norm), demand[i], lib);
+    const auto leg =
+        spokes[i].leg->plan(geom::distance(q[i + 1], spokes[i].pos, norm));
     if (!leg) return out;
     cost += leg->cost;
     out.legs.push_back(*leg);
@@ -146,27 +141,30 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
   if (!drop_node) return std::nullopt;
   const double node_cost = library.node(*drop_node).cost;
 
-  std::vector<geom::Point2D> spokes;
-  std::vector<double> demands;
+  const std::size_t k = subset.size();
+  std::vector<PtpKernel> leg_ptp;
+  leg_ptp.reserve(k);
+  std::vector<Spoke> spokes;
+  spokes.reserve(k);
   for (model::ArcId a : subset) {
-    spokes.push_back(source_rooted ? cg.position(cg.target(a))
-                                   : cg.position(cg.source(a)));
-    demands.push_back(cg.bandwidth(a));
+    const double demand = cg.bandwidth(a);
+    leg_ptp.emplace_back(demand, library);
+    spokes.push_back(Spoke{.pos = source_rooted ? cg.position(cg.target(a))
+                                                : cg.position(cg.source(a)),
+                           .demand = demand,
+                           .slope = length_slope(demand, library),
+                           .leg = &leg_ptp.back()});
   }
 
-  const std::size_t k = subset.size();
   std::vector<std::size_t> order(k);
   std::iota(order.begin(), order.end(), 0);
 
   auto evaluate_permutation =
       [&](const std::vector<std::size_t>& perm) -> OrderEvaluation {
-    std::vector<geom::Point2D> sp;
-    std::vector<double> dm;
-    for (std::size_t i : perm) {
-      sp.push_back(spokes[i]);
-      dm.push_back(demands[i]);
-    }
-    return evaluate_order(root, sp, dm, library, norm, policy, node_cost,
+    std::vector<Spoke> ordered;
+    ordered.reserve(k);
+    for (std::size_t i : perm) ordered.push_back(spokes[i]);
+    return evaluate_order(root, ordered, library, norm, policy, node_cost,
                           options.refine_rounds);
   };
 
@@ -191,20 +189,20 @@ std::optional<ChainPlan> price_chain_merging(const model::ConstraintGraph& cg,
     // Nearest-first from the root.
     std::vector<std::size_t> by_dist = order;
     std::sort(by_dist.begin(), by_dist.end(), [&](std::size_t a, std::size_t b) {
-      return geom::distance(root, spokes[a], norm) <
-             geom::distance(root, spokes[b], norm);
+      return geom::distance(root, spokes[a].pos, norm) <
+             geom::distance(root, spokes[b].pos, norm);
     });
     consider(by_dist);
     // Projection order along root -> centroid.
     geom::Point2D centroid{0, 0};
-    for (const geom::Point2D& p : spokes) centroid += p;
+    for (const Spoke& s : spokes) centroid += s.pos;
     centroid = centroid / static_cast<double>(k);
     const geom::Point2D axis = centroid - root;
     std::vector<std::size_t> by_proj = order;
     std::sort(by_proj.begin(), by_proj.end(),
               [&](std::size_t a, std::size_t b) {
-                const geom::Point2D da = spokes[a] - root;
-                const geom::Point2D db = spokes[b] - root;
+                const geom::Point2D da = spokes[a].pos - root;
+                const geom::Point2D db = spokes[b].pos - root;
                 return da.x * axis.x + da.y * axis.y <
                        db.x * axis.x + db.y * axis.y;
               });

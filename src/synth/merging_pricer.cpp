@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "geom/minimize.hpp"
 #include "geom/weiszfeld.hpp"
@@ -19,24 +17,6 @@ bool all_coincide(const std::vector<geom::Point2D>& pts) {
   return std::all_of(pts.begin(), pts.end(), [&](geom::Point2D p) {
     return geom::almost_equal(p, pts.front(), kCoincideEps);
   });
-}
-
-/// Marginal cost per unit length of the cheapest realization carrying
-/// bandwidth b: min over links of dup(b, l) * cost_per_length(l), where
-/// dup is the duplication factor (only available when the library has
-/// mux/demux-capable nodes). Under a linear cost model this slope is EXACT
-/// -- the leg cost is slope * length plus span-independent node constants --
-/// so the placement problem becomes a weighted Fermat-Weber instance.
-/// For general libraries it is the Weiszfeld warm-start weight.
-double length_slope(double b, const commlib::Library& lib, bool can_bundle) {
-  double best = std::numeric_limits<double>::infinity();
-  for (const commlib::Link& l : lib.links()) {
-    if (l.bandwidth <= 0.0) continue;
-    const double dup = std::ceil(b / l.bandwidth - 1e-12);
-    if (dup > 1.0 && !can_bundle) continue;
-    best = std::min(best, std::max(dup, 1.0) * l.cost_per_length);
-  }
-  return std::isfinite(best) && best > 0.0 ? best : 1.0;
 }
 
 }  // namespace
@@ -84,19 +64,26 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
                                : std::max(plan.trunk_bandwidth, b);
   }
 
+  // The library is resolved here, once per leg bandwidth: the placement
+  // search and the final plans below only evaluate spans. Leg i's kernel
+  // prices both its ingress and its egress.
+  const PtpKernel trunk_ptp(plan.trunk_bandwidth, library);
+  std::vector<PtpKernel> leg_ptp;
+  if (plan.has_hub || plan.has_split) {
+    leg_ptp.reserve(bandwidths.size());
+    for (double b : bandwidths) leg_ptp.emplace_back(b, library);
+  }
+
   // Variable cost as a function of the two trunk endpoints. Node costs are
   // constants and added at the end.
   auto legs_cost = [&](geom::Point2D hub, geom::Point2D split) {
-    double total = best_point_to_point_cost(
-        geom::distance(hub, split, norm), plan.trunk_bandwidth, library);
+    double total = trunk_ptp.cost(geom::distance(hub, split, norm));
     for (std::size_t i = 0; i < subset.size(); ++i) {
       if (plan.has_hub) {
-        total += best_point_to_point_cost(
-            geom::distance(sources[i], hub, norm), bandwidths[i], library);
+        total += leg_ptp[i].cost(geom::distance(sources[i], hub, norm));
       }
       if (plan.has_split) {
-        total += best_point_to_point_cost(
-            geom::distance(split, targets[i], norm), bandwidths[i], library);
+        total += leg_ptp[i].cost(geom::distance(split, targets[i], norm));
       }
     }
     return total;
@@ -107,16 +94,10 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   geom::Point2D split = targets.front();
 
   if (plan.has_hub || plan.has_split) {
-    const bool can_bundle =
-        library.cheapest_node(commlib::NodeKind::kMux).has_value() &&
-        library.cheapest_node(commlib::NodeKind::kDemux).has_value();
-    const double trunk_w =
-        length_slope(plan.trunk_bandwidth, library, can_bundle);
+    const double trunk_w = length_slope(plan.trunk_bandwidth, library);
     std::vector<double> leg_w;
     leg_w.reserve(bandwidths.size());
-    for (double b : bandwidths) {
-      leg_w.push_back(length_slope(b, library, can_bundle));
-    }
+    for (double b : bandwidths) leg_w.push_back(length_slope(b, library));
 
     // Weiszfeld placement: each free endpoint is pulled by its own legs
     // plus the trunk toward the opposite endpoint. Exact for linear cost
@@ -195,8 +176,7 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   // Materialize the leg plans at the chosen positions.
   double cost = 0.0;
   const double trunk_span = geom::distance(hub, split, norm);
-  std::optional<PtpPlan> trunk =
-      best_point_to_point(trunk_span, plan.trunk_bandwidth, library);
+  std::optional<PtpPlan> trunk = trunk_ptp.plan(trunk_span);
   if (!trunk) return std::nullopt;
   plan.trunk = trunk;
   cost += trunk->cost;
@@ -205,15 +185,13 @@ std::optional<MergingPlan> price_merging(const model::ConstraintGraph& cg,
   plan.egress.resize(subset.size());
   for (std::size_t i = 0; i < subset.size(); ++i) {
     if (plan.has_hub) {
-      auto leg = best_point_to_point(geom::distance(sources[i], hub, norm),
-                                     bandwidths[i], library);
+      auto leg = leg_ptp[i].plan(geom::distance(sources[i], hub, norm));
       if (!leg) return std::nullopt;
       cost += leg->cost;
       plan.ingress[i] = leg;
     }
     if (plan.has_split) {
-      auto leg = best_point_to_point(geom::distance(split, targets[i], norm),
-                                     bandwidths[i], library);
+      auto leg = leg_ptp[i].plan(geom::distance(split, targets[i], norm));
       if (!leg) return std::nullopt;
       cost += leg->cost;
       plan.egress[i] = leg;

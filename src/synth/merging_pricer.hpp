@@ -19,6 +19,10 @@
 //   kMaxPerConstraint (Def 2.8 literal).
 // * Every leg and the trunk are themselves priced by the point-to-point
 //   optimizer, so a merging may internally use segmentation or duplication.
+//   The library is resolved once per merging: one PtpKernel (ptp.hpp) for
+//   the trunk bandwidth and one per merged arc are built before the
+//   placement search, which then evaluates spans only; the final leg plans
+//   come from the same kernels.
 //
 // The positions of H and S are the decision variables of the paper's
 // "minimize C(x) subject to K x = d" program; the objective is a nonnegative

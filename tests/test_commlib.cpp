@@ -1,4 +1,5 @@
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,79 @@ TEST(Library, CheapestNodeEmptyWhenNothingFits) {
   Library lib("test");
   lib.add_node(Node{.name = "rep", .kind = NodeKind::kRepeater, .cost = 1.0});
   EXPECT_FALSE(lib.cheapest_node(NodeKind::kMux).has_value());
+}
+
+/// cheapest_node by a full scan in insertion order, strict < on cost.
+std::optional<NodeIndex> scanned_cheapest(const Library& lib, NodeKind kind) {
+  std::optional<NodeIndex> best;
+  for (NodeIndex i = 0; i < lib.nodes().size(); ++i) {
+    if (!lib.nodes()[i].can_act_as(kind)) continue;
+    if (!best || lib.nodes()[i].cost < lib.nodes()[*best].cost) best = i;
+  }
+  return best;
+}
+
+void expect_cache_matches_scan(const Library& lib, const char* step) {
+  for (NodeKind kind : {NodeKind::kRepeater, NodeKind::kMux, NodeKind::kDemux,
+                        NodeKind::kSwitch}) {
+    EXPECT_EQ(lib.cheapest_node(kind), scanned_cheapest(lib, kind))
+        << step << ", kind " << to_string(kind);
+  }
+}
+
+TEST(Library, CheapestNodeFollowsEveryInsertion) {
+  Library lib("cache");
+  expect_cache_matches_scan(lib, "empty");
+  EXPECT_FALSE(lib.cheapest_node(NodeKind::kRepeater).has_value());
+
+  lib.add_node(Node{.name = "rep5", .kind = NodeKind::kRepeater, .cost = 5.0});
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kRepeater), 0u);
+  EXPECT_FALSE(lib.cheapest_node(NodeKind::kMux).has_value());
+  expect_cache_matches_scan(lib, "rep5");
+
+  // A switch qualifies for every kind, and here it is the cheaper repeater.
+  lib.add_node(Node{.name = "sw3", .kind = NodeKind::kSwitch, .cost = 3.0});
+  for (NodeKind kind : {NodeKind::kRepeater, NodeKind::kMux, NodeKind::kDemux,
+                        NodeKind::kSwitch}) {
+    EXPECT_EQ(lib.cheapest_node(kind), 1u) << to_string(kind);
+  }
+  expect_cache_matches_scan(lib, "sw3");
+
+  // An equal cost keeps the earlier node.
+  lib.add_node(Node{.name = "mux3", .kind = NodeKind::kMux, .cost = 3.0});
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kMux), 1u);
+  expect_cache_matches_scan(lib, "mux3");
+
+  // A cheaper node added later wins, for its own kind only.
+  lib.add_node(Node{.name = "mux2", .kind = NodeKind::kMux, .cost = 2.0});
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kMux), 3u);
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kDemux), 1u);
+  expect_cache_matches_scan(lib, "mux2");
+
+  // Rejected insertions leave the cache alone.
+  EXPECT_FALSE(lib.try_add_node(Node{
+                      .name = "mux2", .kind = NodeKind::kDemux, .cost = 0.0})
+                   .ok());
+  EXPECT_FALSE(lib.try_add_node(Node{
+                      .name = "neg", .kind = NodeKind::kDemux, .cost = -1.0})
+                   .ok());
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kDemux), 1u);
+  expect_cache_matches_scan(lib, "rejected");
+
+  ASSERT_TRUE(lib.try_add_node(Node{
+                     .name = "demux1", .kind = NodeKind::kDemux, .cost = 1.0})
+                  .ok());
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kDemux), 4u);
+  expect_cache_matches_scan(lib, "demux1");
+
+  // A copy carries the cache and then evolves on its own.
+  Library copy = lib;
+  expect_cache_matches_scan(copy, "copy");
+  copy.add_node(Node{.name = "rep0", .kind = NodeKind::kRepeater, .cost = 0.0});
+  EXPECT_EQ(copy.cheapest_node(NodeKind::kRepeater), 5u);
+  EXPECT_EQ(lib.cheapest_node(NodeKind::kRepeater), 1u);
+  expect_cache_matches_scan(copy, "copy + rep0");
+  expect_cache_matches_scan(lib, "original after copy grew");
 }
 
 TEST(Library, MaxBandwidthAndSpan) {

@@ -26,6 +26,7 @@
 #include "workloads/lan.hpp"
 #include "workloads/mcm.hpp"
 #include "workloads/mpeg4_soc.hpp"
+#include "workloads/noc_mesh.hpp"
 #include "workloads/scale_gen.hpp"
 #include "workloads/wan2002.hpp"
 
@@ -200,6 +201,36 @@ TEST(PricingCoverPin, PaperWan) {
                 {464579.34718242241, {0, 1, 2, 6, 7, 38}, 65,
                  0xf312fab3eaf9e2a9ULL},
                 "wan2002");
+}
+
+// The three segmented / fixed-cost libraries take the Nelder-Mead branch
+// of price_merging and the chain and tree pricers, which the linear-cost
+// WAN pins above never reach.
+TEST(PricingCoverPin, NocMesh) {
+  const SynthesisResult r =
+      synthesize(workloads::noc_mesh({}), commlib::noc_library()).value();
+  expect_pinned(r,
+                {44.5, {10, 11, 14, 491, 1431, 1701}, 1724,
+                 0x4552b5de4d8fc174ULL},
+                "noc_mesh");
+}
+
+TEST(PricingCoverPin, McmBoard) {
+  const SynthesisResult r =
+      synthesize(workloads::mcm_board(), commlib::mcm_library()).value();
+  expect_pinned(r,
+                {65.14900812522076, {0, 1, 2, 3, 4, 5, 6, 9, 28}, 60,
+                 0x108a8991fdb6ea64ULL},
+                "mcm_board");
+}
+
+TEST(PricingCoverPin, CampusLan) {
+  const SynthesisResult r =
+      synthesize(workloads::campus_lan(), commlib::lan_library()).value();
+  expect_pinned(r,
+                {4555.6184713286057, {0, 1, 2, 3, 6, 9, 128}, 179,
+                 0x2e6944d403542e0fULL},
+                "campus_lan");
 }
 
 TEST(PricingCoverPin, PartitionedGeoWanAtOneAndFourThreads) {

@@ -1,8 +1,16 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "commlib/standard_libraries.hpp"
+#include "sim/delay.hpp"
 #include "synth/ptp.hpp"
 
 namespace cdcs::synth {
@@ -118,6 +126,249 @@ TEST(Ptp, SkipsZeroBandwidthLinks) {
   const auto plan = best_point_to_point(1.0, 1.0, lib);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(lib.link(plan->link).name, "ok");
+}
+
+// ---------------------------------------------------------------------------
+// PtpKernel against the per-call rule it replaced.
+
+/// The point-to-point rule as a self-contained per-call loop: every call
+/// scans the library for its nodes and re-derives M. The oracle for the
+/// kernel, which resolves those once per bandwidth.
+int reference_ceil_div(double a, double b) {
+  const double q = a / b;
+  const double r = std::round(q);
+  if (std::abs(q - r) < 1e-9 * std::max(1.0, std::abs(q))) {
+    return static_cast<int>(r);
+  }
+  return static_cast<int>(std::ceil(q));
+}
+
+std::optional<commlib::NodeIndex> reference_cheapest(
+    const commlib::Library& lib, commlib::NodeKind kind) {
+  std::optional<commlib::NodeIndex> best;
+  for (commlib::NodeIndex i = 0; i < lib.nodes().size(); ++i) {
+    if (!lib.nodes()[i].can_act_as(kind)) continue;
+    if (!best || lib.nodes()[i].cost < lib.nodes()[*best].cost) best = i;
+  }
+  return best;
+}
+
+std::optional<PtpPlan> reference_ptp(double span, double bandwidth,
+                                     const commlib::Library& library,
+                                     const DelayConstraint* delay) {
+  std::optional<PtpPlan> best;
+  const auto repeater =
+      reference_cheapest(library, commlib::NodeKind::kRepeater);
+  const auto mux = reference_cheapest(library, commlib::NodeKind::kMux);
+  const auto demux = reference_cheapest(library, commlib::NodeKind::kDemux);
+  for (commlib::LinkIndex li = 0; li < library.links().size(); ++li) {
+    const commlib::Link& l = library.link(li);
+    if (l.bandwidth <= 0.0) continue;
+    int k = 1;
+    if (!l.spans(span)) {
+      if (!std::isfinite(l.max_span) || l.max_span <= 0.0) continue;
+      k = reference_ceil_div(span, l.max_span);
+    }
+    const int m = std::max(1, reference_ceil_div(bandwidth, l.bandwidth));
+    if (k > 1 && !repeater) continue;
+    if (m > 1 && (!mux || !demux)) continue;
+    if (delay != nullptr &&
+        delay->model->link_delay_per_length * span +
+                delay->model->node_delay * (k - 1) >
+            delay->budget + 1e-12) {
+      continue;
+    }
+    const double branch_links = l.cost_per_length * span + l.fixed_cost * k;
+    double cost = m * branch_links;
+    if (k > 1) cost += m * (k - 1) * library.node(*repeater).cost;
+    if (m > 1) cost += library.node(*mux).cost + library.node(*demux).cost;
+    const bool better =
+        !best || cost < best->cost - 1e-9 ||
+        (cost <= best->cost + 1e-9 &&
+         (m < best->parallel ||
+          (m == best->parallel && k < best->segments)));
+    if (better) {
+      best = PtpPlan{.link = li,
+                     .segments = k,
+                     .parallel = m,
+                     .repeater = k > 1 ? repeater : std::nullopt,
+                     .mux = m > 1 ? mux : std::nullopt,
+                     .demux = m > 1 ? demux : std::nullopt,
+                     .span = span,
+                     .bandwidth = bandwidth,
+                     .cost = cost};
+    }
+  }
+  return best;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Libraries whose plan choices hinge on the rule's corner cases.
+std::vector<commlib::Library> kernel_corpus() {
+  std::vector<commlib::Library> libs = {
+      commlib::wan_library(),      commlib::soc_library(0.6),
+      commlib::noc_library(0.6),   commlib::mcm_library(),
+      commlib::lan_library(),      commlib::noc_library(0.45)};
+
+  // Costs equal within 1e-9: two radios (M = 2, free mux/demux) against one
+  // optical at +1e-12 per unit length, and a segmented link whose fixed
+  // cost ties a longer one's.
+  commlib::Library ties("ties");
+  ties.add_link(commlib::Link{
+      .name = "radio", .bandwidth = 10.0, .cost_per_length = 1.0});
+  ties.add_link(commlib::Link{.name = "optical",
+                              .bandwidth = 20.0,
+                              .cost_per_length = 2.0 + 1e-12});
+  ties.add_link(commlib::Link{.name = "hop",
+                              .max_span = 1.0,
+                              .bandwidth = 20.0,
+                              .fixed_cost = 1.0,
+                              .cost_per_length = 0.0});
+  ties.add_link(commlib::Link{.name = "long-hop",
+                              .max_span = 2.0,
+                              .bandwidth = 20.0,
+                              .fixed_cost = 2.0 + 5e-10,
+                              .cost_per_length = 0.0});
+  ties.add_node(commlib::Node{
+      .name = "sw", .kind = commlib::NodeKind::kSwitch, .cost = 0.0});
+  libs.push_back(ties);
+
+  // Zero-bandwidth and zero-span links the kernel must skip.
+  commlib::Library zero("zero");
+  zero.add_link(commlib::Link{.name = "dead", .bandwidth = 0.0});
+  zero.add_link(commlib::Link{
+      .name = "stub", .max_span = 0.0, .bandwidth = 4.0, .fixed_cost = 0.5});
+  zero.add_link(commlib::Link{.name = "ok",
+                              .max_span = 3.0,
+                              .bandwidth = 4.0,
+                              .fixed_cost = 1.0,
+                              .cost_per_length = 0.25});
+  zero.add_node(commlib::Node{
+      .name = "rep", .kind = commlib::NodeKind::kRepeater, .cost = 2.0});
+  zero.add_node(commlib::Node{
+      .name = "mux", .kind = commlib::NodeKind::kMux, .cost = 1.0});
+  zero.add_node(commlib::Node{
+      .name = "demux", .kind = commlib::NodeKind::kDemux, .cost = 1.5});
+  libs.push_back(zero);
+
+  // No repeater: segmented plans are out, duplication is in.
+  commlib::Library norep("no-repeater");
+  norep.add_link(commlib::Link{.name = "short",
+                               .max_span = 1.5,
+                               .bandwidth = 2.0,
+                               .fixed_cost = 1.0,
+                               .cost_per_length = 0.5});
+  norep.add_link(commlib::Link{
+      .name = "long", .bandwidth = 1.0, .cost_per_length = 3.0});
+  norep.add_node(commlib::Node{
+      .name = "mux", .kind = commlib::NodeKind::kMux, .cost = 0.5});
+  norep.add_node(commlib::Node{
+      .name = "demux", .kind = commlib::NodeKind::kDemux, .cost = 0.5});
+  libs.push_back(norep);
+
+  // No mux/demux: duplication is out, segmentation is in.
+  commlib::Library nomux("no-mux");
+  nomux.add_link(commlib::Link{.name = "slow",
+                               .max_span = 0.75,
+                               .bandwidth = 1.0,
+                               .fixed_cost = 0.1,
+                               .cost_per_length = 1.0});
+  nomux.add_link(commlib::Link{.name = "fast",
+                               .max_span = 2.0,
+                               .bandwidth = 8.0,
+                               .fixed_cost = 3.0,
+                               .cost_per_length = 2.0});
+  nomux.add_node(commlib::Node{
+      .name = "rep", .kind = commlib::NodeKind::kRepeater, .cost = 0.7});
+  libs.push_back(nomux);
+  return libs;
+}
+
+/// 0, a few plain values, and every multiple 1..4 of each finite link
+/// parameter (span or bandwidth) with its neighbours one ulp either side.
+std::vector<double> probe_values(const std::vector<double>& plain,
+                                 const std::vector<double>& steps) {
+  std::vector<double> out = plain;
+  out.push_back(0.0);
+  for (double step : steps) {
+    if (!std::isfinite(step) || step <= 0.0) continue;
+    for (int j = 1; j <= 4; ++j) {
+      const double v = j * step;
+      out.push_back(v);
+      out.push_back(std::nextafter(v, 0.0));
+      out.push_back(std::nextafter(v, std::numeric_limits<double>::infinity()));
+    }
+  }
+  return out;
+}
+
+void expect_same_plan(const std::optional<PtpPlan>& got,
+                      const std::optional<PtpPlan>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  EXPECT_EQ(got->link, want->link) << where;
+  EXPECT_EQ(got->segments, want->segments) << where;
+  EXPECT_EQ(got->parallel, want->parallel) << where;
+  EXPECT_EQ(got->repeater, want->repeater) << where;
+  EXPECT_EQ(got->mux, want->mux) << where;
+  EXPECT_EQ(got->demux, want->demux) << where;
+  EXPECT_EQ(bits(got->span), bits(want->span)) << where;
+  EXPECT_EQ(bits(got->bandwidth), bits(want->bandwidth)) << where;
+  EXPECT_EQ(bits(got->cost), bits(want->cost)) << where;
+}
+
+TEST(Ptp, KernelMatchesReferenceBitwise) {
+  const sim::DelayModel model{.link_delay_per_length = 1.0, .node_delay = 0.5};
+  const DelayConstraint tight{&model, 2.25};
+  const DelayConstraint loose{&model, 40.0};
+  const DelayConstraint* delays[] = {nullptr, &tight, &loose};
+  std::size_t compared = 0;
+  std::size_t feasible = 0;
+  for (const commlib::Library& lib : kernel_corpus()) {
+    // Spans at each budget (one ulp over it is within the 1e-12 slack
+    // when the plan has no repeater) and at each link reach.
+    std::vector<double> span_steps = {tight.budget, loose.budget};
+    std::vector<double> bandwidth_steps;
+    for (const commlib::Link& l : lib.links()) {
+      span_steps.push_back(l.max_span);
+      bandwidth_steps.push_back(l.bandwidth);
+    }
+    const std::vector<double> spans =
+        probe_values({0.3, 1.0, 2.5, 7.0, 123.4, 56789.0}, span_steps);
+    const std::vector<double> bandwidths =
+        probe_values({0.5, 1.0, 3.0, 1000.0}, bandwidth_steps);
+    for (const DelayConstraint* delay : delays) {
+      for (double b : bandwidths) {
+        // One kernel per (library, bandwidth, delay), reused for every span.
+        const PtpKernel kernel(b, lib, delay);
+        for (double d : spans) {
+          const std::string where =
+              lib.name() + " span=" + std::to_string(d) +
+              " bw=" + std::to_string(b) +
+              (delay ? " budget=" + std::to_string(delay->budget) : "");
+          const std::optional<PtpPlan> want = reference_ptp(d, b, lib, delay);
+          expect_same_plan(kernel.plan(d), want, where);
+          expect_same_plan(best_point_to_point(d, b, lib, delay), want, where);
+          const double want_cost =
+              want ? want->cost : std::numeric_limits<double>::infinity();
+          EXPECT_EQ(bits(kernel.cost(d)), bits(want_cost)) << where;
+          if (delay == nullptr) {
+            EXPECT_EQ(bits(best_point_to_point_cost(d, b, lib)),
+                      bits(want_cost))
+                << where;
+          }
+          ++compared;
+          if (want) ++feasible;
+        }
+      }
+    }
+  }
+  // The corpus must exercise both outcomes in bulk.
+  EXPECT_GT(compared, 10000U);
+  EXPECT_GT(feasible, compared / 4);
+  EXPECT_LT(feasible, compared);
 }
 
 // Assumption 2.1 must hold on the paper's libraries: optimal point-to-point
